@@ -10,7 +10,7 @@
 
 use crate::mapping::VarMap;
 use crate::search::{HomSearch, SearchOptions};
-use annot_query::{Ccq, Cq, Ducq, QVar, Ucq};
+use annot_query::{Atom, Ccq, Cq, Ducq, QVar, Ucq};
 
 /// Whether two CCQs are isomorphic: there is a bijective renaming of
 /// variables (fixing the free variables positionally) mapping the atom
@@ -85,10 +85,25 @@ fn is_isomorphism(map: &VarMap, a: &Ccq, b: &Ccq) -> bool {
 /// (fixing the free variables positionally) mapping the atom multiset of one
 /// exactly onto the other.  This is [`are_isomorphic`] with empty inequality
 /// sets — the semantic-cache layer keys decisions by this equivalence, since
-/// every containment criterion of the paper is invariant under it.
+/// every containment criterion of the paper is invariant under it.  As in
+/// [`annot_query::key`], a relation is its name and arity, across schemas.
 pub fn are_isomorphic_cq(a: &Cq, b: &Cq) -> bool {
+    let (from, to) = (a.schema(), b.schema());
+    let atoms = a.atoms().iter().map(|atom| {
+        let rel = to.relation(from.name(atom.relation))?;
+        (to.arity(rel) == atom.args.len()).then(|| Atom::new(rel, atom.args.clone()))
+    });
+    let Some(atoms) = atoms.collect() else {
+        return false;
+    };
+    let a = Cq::new(
+        to.clone(),
+        a.free_vars().to_vec(),
+        atoms,
+        a.var_names().to_vec(),
+    );
     are_isomorphic(
-        &Ccq::new(a.clone(), std::iter::empty()),
+        &Ccq::new(a, std::iter::empty()),
         &Ccq::new(b.clone(), std::iter::empty()),
     )
 }
@@ -154,7 +169,7 @@ pub fn count_isomorphic(members: &Ducq, q: &Ccq) -> usize {
 mod tests {
     use super::*;
     use annot_query::complete::complete_description_cq;
-    use annot_query::{Cq, Schema};
+    use annot_query::{Cq, Schema, Ucq};
 
     fn schema() -> Schema {
         Schema::with_relations([("R", 2), ("S", 1)])
@@ -265,5 +280,48 @@ mod tests {
         // differs (first vs second argument), so they are not isomorphic.
         assert!(!are_isomorphic(&a, &b));
         assert!(are_isomorphic(&a, &a));
+    }
+
+    /// The one-atom query `name(args…)` over a schema holding only `name`.
+    fn single_atom(name: &str, args: &[&str]) -> Cq {
+        let schema = Schema::with_relations([(name, args.len())]);
+        Cq::builder(&schema).atom(name, args).build()
+    }
+
+    #[test]
+    fn schemas_registering_relations_in_opposite_orders_agree() {
+        // The path R(u,v), S(v,w): with equal arities, matching by id
+        // would pair R with S and refute.
+        let rs = Schema::with_relations([("R", 2), ("S", 2)]);
+        let sr = Schema::with_relations([("S", 2), ("R", 2)]);
+        let a = Cq::builder(&rs)
+            .atom("R", &["u", "v"])
+            .atom("S", &["v", "w"])
+            .build();
+        let b = Cq::builder(&sr)
+            .atom("S", &["y", "z"])
+            .atom("R", &["x", "y"])
+            .build();
+        assert_ne!(
+            a.atoms()[0].relation,
+            b.atoms()[1].relation,
+            "R has a different id in each schema"
+        );
+        assert!(are_isomorphic_cq(&a, &b));
+        assert!(are_isomorphic_cq(&b, &a));
+        assert!(are_isomorphic_ucq(&Ucq::new([a]), &Ucq::new([b])));
+    }
+
+    #[test]
+    fn another_relation_name_or_arity_is_not_isomorphic() {
+        let r = single_atom("R", &["x", "y"]);
+        let t = single_atom("T", &["x", "y"]);
+        assert!(!are_isomorphic_cq(&r, &t));
+        assert!(!are_isomorphic_cq(&t, &r));
+        // R/2 against R/3, on the same two variables.
+        let r3 = single_atom("R", &["x", "y", "y"]);
+        assert!(!are_isomorphic_cq(&r, &r3));
+        assert!(!are_isomorphic_cq(&r3, &r));
+        assert!(are_isomorphic_cq(&r, &single_atom("R", &["u", "v"])));
     }
 }

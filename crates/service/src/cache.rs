@@ -38,7 +38,10 @@
 //!   after every insert the cache evicts (round-robin across shards,
 //!   one lock at a time) until the tracked total is at or under
 //!   `byte_budget`.  An entry that alone exceeds the budget is never
-//!   cached at all.
+//!   cached at all.  The estimate counts what an entry really owns —
+//!   each stored query's atoms, variable names and schema copy — so the
+//!   budget bounds real memory (within 2×, pinned by a counting-allocator
+//!   test).
 //!
 //! Time is a [`LogicalClock`] from the `annot_core::sync` facade — one
 //! tick per decision request, never a wall clock — so a fixed operation
@@ -62,8 +65,9 @@ use annot_core::sync::clock::LogicalClock;
 use annot_core::sync::{Mutex, PoisonError};
 use annot_hom::are_isomorphic_ucq;
 use annot_query::key::{hash64, ucq_code};
-use annot_query::Ucq;
+use annot_query::{RelId, Schema, Ucq};
 use std::collections::{HashMap, VecDeque};
+use std::mem::{size_of, size_of_val};
 
 /// Number of independently locked shards.  A small power of two well above
 /// the worker count keeps contention negligible without wasting memory.
@@ -97,7 +101,7 @@ struct Entry {
     id: u64,
     /// Tick at insertion — the TTL reference point.
     stamp: u64,
-    /// Precomputed footprint estimate (entry struct + query spines).
+    /// Precomputed footprint estimate (see [`entry_footprint`]).
     bytes: u64,
     /// Second-chance bit: set on every hit, cleared (once) by the
     /// eviction scan before the entry becomes a victim.
@@ -164,10 +168,10 @@ pub struct CacheStats {
     /// Entries per shard, indexed by shard number — the load-balance view
     /// of the fingerprint distribution.  Sums to [`CacheStats::entries`].
     pub shard_entries: Vec<u64>,
-    /// Approximate bytes held by the cached entries: the entry structs plus
-    /// a spine-walk estimate of each stored query.  A capacity-planning
-    /// number — and the byte-budget enforcement input — not an allocator
-    /// audit.
+    /// Approximate bytes held by the cached entries: the entry structs and
+    /// the heap each stored query owns, its schema copy included.  Not an
+    /// allocator audit, but the byte-budget enforcement input, and
+    /// `tests/heap_accounting.rs` pins it within 2× of the live heap.
     pub approx_bytes: u64,
 }
 
@@ -286,7 +290,10 @@ impl Cache {
             if Self::lookup(&mut guard, key, semiring, q1, q2).is_none() {
                 let id = guard.next_id;
                 guard.next_id += 1;
-                guard.table.entry(key).or_default().push(Entry {
+                // A bucket rarely holds more than one entry: allocate
+                // exactly one slot, not `Vec`'s default first four.
+                let bucket = guard.table.entry(key);
+                bucket.or_insert_with(|| Vec::with_capacity(1)).push(Entry {
                     semiring,
                     q1: q1.clone(),
                     q2: q2.clone(),
@@ -492,25 +499,42 @@ impl Cache {
     }
 }
 
-/// The tracked footprint of one entry: the entry struct plus both query
-/// spines.  This estimate *is* the byte-budget enforcement input.
+/// The tracked footprint of one entry: the entry struct, its table and
+/// ring slots, and the heap both stored queries own.  This estimate *is*
+/// the byte-budget enforcement input.
 fn entry_footprint(q1: &Ucq, q2: &Ucq) -> u64 {
-    std::mem::size_of::<Entry>() as u64 + approx_ucq_bytes(q1) + approx_ucq_bytes(q2)
+    let slots = size_of::<Entry>() + size_of::<(u64, Vec<Entry>)>() + size_of::<(u64, u64)>();
+    (slots + approx_ucq_bytes(q1) + approx_ucq_bytes(q2)) as u64
 }
 
-/// A rough accounting of one stored query's footprint: the UCQ spine plus
-/// each disjunct's atom list and argument vectors.  Heap blocks the spine
-/// walk cannot see (interner strings, allocator slack) are out of scope.
-fn approx_ucq_bytes(u: &Ucq) -> u64 {
-    let mut bytes = std::mem::size_of::<Ucq>() as u64;
+/// The heap one stored query owns, counted from its structure: the
+/// disjunct list and, per disjunct, its free variables, atoms, variable
+/// names and its own copy of the request's schema.  Allocator slack and
+/// the value domain the copies share are out of scope.
+fn approx_ucq_bytes(u: &Ucq) -> usize {
+    let mut bytes = size_of_val(u.disjuncts());
     for cq in u.disjuncts() {
-        bytes += std::mem::size_of_val(cq) as u64;
-        for atom in cq.atoms() {
-            bytes += std::mem::size_of_val(atom) as u64
-                + (atom.args.len() * std::mem::size_of::<annot_query::QVar>()) as u64;
-        }
+        bytes += size_of_val(cq.free_vars()) + size_of_val(cq.atoms());
+        bytes += cq
+            .atoms()
+            .iter()
+            .map(|a| size_of_val(&a.args[..]))
+            .sum::<usize>();
+        bytes += size_of_val(cq.var_names());
+        bytes += cq.var_names().iter().map(String::len).sum::<usize>();
+        bytes += approx_schema_bytes(cq.schema());
     }
     bytes
+}
+
+/// The heap of a schema's relation table: the `(name, arity)` list and the
+/// name index, each holding its own copy of every name.  The index is
+/// counted at two slots (plus a control byte each) per relation, a hash
+/// table's typical headroom.
+fn approx_schema_bytes(schema: &Schema) -> usize {
+    let slot = size_of::<(String, usize)>() + 2 * (size_of::<(String, RelId)>() + 1);
+    let names: usize = schema.rel_ids().map(|rel| schema.name(rel).len()).sum();
+    schema.len() * slot + 2 * names
 }
 
 impl Default for Cache {
@@ -534,13 +558,15 @@ mod tests {
     /// symbols, so every pair is its own cache entry, every entry has the
     /// same byte footprint, and every decide stays cheap (3 variables —
     /// growing the queries instead would hand the worst-case-exponential
-    /// deciders an exponentially growing job).
-    fn distinct_pairs(s: &mut Schema, count: usize) -> Vec<(Ucq, Ucq)> {
+    /// deciders an exponentially growing job).  Each pair is parsed
+    /// against a schema of its own, as the server parses each request.
+    fn distinct_pairs(count: usize) -> Vec<(Ucq, Ucq)> {
         (0..count)
             .map(|i| {
-                let q1 = parser::parse_ucq(s, &format!("Q() :- C{i}(x, y), C{i}(y, z)")).unwrap();
-                let q2 = parser::parse_ucq(s, &format!("Q() :- C{i}(u, v)")).unwrap();
-                (q1, q2)
+                let mut s = Schema::new();
+                let q1 = parser::parse_ucq(&mut s, &format!("Q() :- C{i:03}(x, y), C{i:03}(y, z)"));
+                let q2 = parser::parse_ucq(&mut s, &format!("Q() :- C{i:03}(u, v)"));
+                (q1.unwrap(), q2.unwrap())
             })
             .collect()
     }
@@ -568,6 +594,26 @@ mod tests {
         assert_eq!(stats.inserts, 1);
         assert_eq!(stats.evictions(), 0, "unbounded cache never evicts");
         assert_eq!(stats.ticks, 2, "one tick per request");
+    }
+
+    #[test]
+    fn schemas_registering_relations_in_opposite_orders_share_entries() {
+        // Relation ids differ between the two schemas; names and arities
+        // do not, and those are what both the key and the judge compare.
+        let cache = Cache::new();
+        let why = SemiringId::from_name("Why").unwrap();
+        let mut rs = Schema::with_relations([("R", 2), ("S", 2)]);
+        let q1 = parser::parse_ucq(&mut rs, "Q() :- R(u, v), S(v, t), R(u, w)").unwrap();
+        let q2 = parser::parse_ucq(&mut rs, "Q() :- R(u, v), S(v, w)").unwrap();
+        let (first, hit) = cache.get_or_decide(why, &q1, &q2, decide_with(why));
+        assert!(!hit);
+        let mut sr = Schema::with_relations([("S", 2), ("R", 2)]);
+        let p1 = parser::parse_ucq(&mut sr, "Q() :- R(a, c), R(a, b), S(b, d)").unwrap();
+        let p2 = parser::parse_ucq(&mut sr, "Q() :- S(y, z), R(x, y)").unwrap();
+        let (second, hit) =
+            cache.get_or_decide(why, &p1, &p2, |_, _| panic!("must be served from cache"));
+        assert!(hit);
+        assert_eq!(first, second);
     }
 
     #[test]
@@ -630,8 +676,7 @@ mod tests {
 
     #[test]
     fn byte_budget_is_never_exceeded_and_evictions_are_counted() {
-        let mut s = Schema::with_relations([("R", 2)]);
-        let pairs = distinct_pairs(&mut s, 12);
+        let pairs = distinct_pairs(12);
         let n = SemiringId::from_name("N").unwrap();
         // A budget that fits roughly two entries.
         let one = entry_footprint(&pairs[0].0, &pairs[0].1);
@@ -681,8 +726,7 @@ mod tests {
 
     #[test]
     fn shard_capacity_bounds_every_shard() {
-        let mut s = Schema::with_relations([("R", 2)]);
-        let pairs = distinct_pairs(&mut s, 16);
+        let pairs = distinct_pairs(16);
         let n = SemiringId::from_name("N").unwrap();
         let cache = Cache::with_config(CacheConfig {
             shard_capacity: Some(1),
@@ -708,13 +752,12 @@ mod tests {
         // land in the SAME shard (by probing the fingerprints, so no
         // hashing luck is involved), fill the shard, hit one entry, then
         // overflow — the unreferenced entry must be the victim.
-        let mut s = Schema::with_relations([("R", 2)]);
         let n = SemiringId::from_name("N").unwrap();
         let cache = Cache::with_config(CacheConfig {
             shard_capacity: Some(2),
             ..CacheConfig::default()
         });
-        let pairs = distinct_pairs(&mut s, 256);
+        let pairs = distinct_pairs(256);
         let mut by_shard: HashMap<usize, Vec<usize>> = HashMap::new();
         let mut colliding: Option<Vec<usize>> = None;
         for (i, (q1, q2)) in pairs.iter().enumerate() {
@@ -777,8 +820,7 @@ mod tests {
     fn eviction_is_deterministic_for_a_fixed_operation_order() {
         // Logical time ⇒ two identical runs age and evict identically.
         let run = || {
-            let mut s = Schema::with_relations([("R", 2)]);
-            let pairs = distinct_pairs(&mut s, 10);
+            let pairs = distinct_pairs(10);
             let n = SemiringId::from_name("N").unwrap();
             let cache = Cache::with_config(CacheConfig {
                 shard_capacity: Some(1),

@@ -8,10 +8,10 @@
 //! * [`cache`] — the sharded semantic cache, keyed by the canonical form
 //!   of the query pair *up to isomorphism* and made exact by an
 //!   isomorphism refinement inside each bucket;
-//! * [`server`] — shared-schema request handling and the thread-per-core
-//!   accept loop over a `TcpListener`, with admission control (decide
-//!   budgets, connection cap, read timeouts) and pipelined `BATCH` framing
-//!   for sustained traffic.
+//! * [`server`] — request handling (each `DECIDE` parses against a schema
+//!   of its own) and the thread-per-core accept loop over a `TcpListener`,
+//!   with admission control (decide budgets, connection cap, read
+//!   timeouts) and pipelined `BATCH` framing for sustained traffic.
 //!
 //! Semiring dispatch is runtime-dynamic through
 //! [`annot_core::registry::SemiringId`], so one server process answers for

@@ -5,15 +5,6 @@
 //! facade; `annot-lint` enforces this), so the server's protocol logic can
 //! be model-checked alongside the core's concurrency if ever needed.
 //!
-//! ## Shared schema
-//!
-//! The server parses every query against **one** shared [`Schema`] behind a
-//! mutex.  That keeps relation ids stable across requests and connections,
-//! which the cache's isomorphism refinement relies on (atoms are compared
-//! by relation id).  Parsing is transactional, so a malformed request —
-//! even one that registers new relations before failing — leaves the shared
-//! schema untouched.
-//!
 //! ## Admission control and degradation
 //!
 //! A long-lived server must degrade, not drown.  [`ServiceConfig`] bounds
@@ -49,8 +40,8 @@ use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::time::Duration;
 
 /// How many worker threads a batch fans out over.  Batch items complete
-/// out of order across cache shards; the pool is small because each item
-/// already parallelises poorly (one shared schema lock per parse).
+/// out of order across cache shards; the pool is small so that one
+/// connection's batch cannot take every core from the others.
 const BATCH_WORKERS: usize = 4;
 
 /// Knobs for the server's sustained-traffic behaviour.  The default is
@@ -93,10 +84,9 @@ impl Default for ServiceConfig {
     }
 }
 
-/// The server's shared state: one schema, one semantic cache, the
-/// admission-control counters.
+/// The server's shared state: one semantic cache and the admission-control
+/// counters.  Each `DECIDE` parses its queries against a schema of its own.
 pub struct Service {
-    schema: Mutex<Schema>,
     cache: Cache,
     config: ServiceConfig,
     overloads: AtomicU64,
@@ -152,8 +142,8 @@ impl From<&str> for BatchItem {
 }
 
 impl Service {
-    /// A fresh service with an empty schema, an unbounded cache and no
-    /// admission limits (the PR 8 behaviour).
+    /// A fresh service with an empty, unbounded cache and no admission
+    /// limits (the PR 8 behaviour).
     pub fn new() -> Service {
         Service::with_config(ServiceConfig::default())
     }
@@ -161,7 +151,6 @@ impl Service {
     /// A fresh service under the given limits.
     pub fn with_config(config: ServiceConfig) -> Service {
         Service {
-            schema: Mutex::new(Schema::new()),
             cache: Cache::with_config(config.cache),
             config,
             overloads: AtomicU64::new(0),
@@ -287,19 +276,13 @@ impl Service {
         let Some(id) = SemiringId::from_name(semiring) else {
             return format!("ERR unknown semiring {semiring:?}");
         };
-        let parsed = {
-            let mut schema = self.schema.lock().unwrap_or_else(PoisonError::into_inner);
-            parser::parse_ucq(&mut schema, q1)
-                .map_err(|e| format!("ERR left query: {e}"))
-                .and_then(|u1| {
-                    parser::parse_ucq(&mut schema, q2)
-                        .map(|u2| (u1, u2))
-                        .map_err(|e| format!("ERR right query: {e}"))
-                })
-        };
-        let (u1, u2) = match parsed {
-            Ok(pair) => pair,
-            Err(reply) => return reply,
+        let mut schema = Schema::new();
+        let (u1, u2) = match parser::parse_ucq(&mut schema, q1) {
+            Err(e) => return format!("ERR left query: {e}"),
+            Ok(u1) => match parser::parse_ucq(&mut schema, q2) {
+                Err(e) => return format!("ERR right query: {e}"),
+                Ok(u2) => (u1, u2),
+            },
         };
         if let Some(refusal) = self.admission_refusal(&u1, &u2) {
             // relaxed: monotonic statistics counter, no ordering needed
@@ -730,17 +713,19 @@ mod tests {
     }
 
     #[test]
-    fn failed_parses_do_not_poison_the_shared_schema() {
+    fn relations_are_scoped_to_one_request() {
         let service = Service::new();
-        // R is registered with arity 2 by a good request …
-        service.handle_line("DECIDE B Q() :- R(x, y) <= Q() :- R(x, x)");
-        // … a bad request tries to re-register S then fails on arity clash …
-        let err = service.handle_line("DECIDE B Q() :- S(x), R(x) <= Q() :- R(x, y)");
-        assert!(err.reply().starts_with("ERR"));
-        // … and S must not have leaked into the schema: a fresh use of S
-        // with a different arity parses fine.
-        let ok = service.handle_line("DECIDE B Q() :- S(x, y) <= Q() :- S(x, x)");
-        assert!(ok.reply().starts_with("OK"), "{:?}", ok.reply());
+        let binary = service.handle_line("DECIDE B Q() :- R(x, y) <= Q() :- R(x, x)");
+        assert!(binary.reply().starts_with("OK"), "{}", binary.reply());
+        // Within one request both queries share their relations: the right
+        // query may not re-declare R at another arity.
+        let clash = service.handle_line("DECIDE B Q() :- R(x, y) <= Q() :- R(x)");
+        let reply = clash.reply();
+        assert!(reply.starts_with("ERR right query"), "{reply}");
+        // Neither the answered request nor the failed one leaks into the
+        // next: R at arity 1 is a fresh declaration there.
+        let unary = service.handle_line("DECIDE B Q() :- R(x) <= Q() :- R(y)");
+        assert!(unary.reply().starts_with("OK"), "{}", unary.reply());
     }
 
     #[test]

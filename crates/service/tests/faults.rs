@@ -85,8 +85,17 @@ fn with_server(config: ServiceConfig, workers: usize, session: impl FnOnce(Socke
     annot_core::sync::thread::scope(|s| {
         s.spawn(|| serve(&listener, &service, &shutdown, workers));
         session(addr);
-        let mut finisher = Client::connect(addr);
-        assert_eq!(finisher.roundtrip("SHUTDOWN"), "OK shutting-down");
+        // Under a connection cap the finisher races the release of the
+        // session's last slot (and a refusal would leave the server, and
+        // so this scope, running forever): retry until it is admitted.
+        loop {
+            let reply = Client::connect(addr).roundtrip("SHUTDOWN");
+            if !reply.starts_with("BUSY") {
+                assert_eq!(reply, "OK shutting-down");
+                break;
+            }
+            std::thread::sleep(Duration::from_millis(20));
+        }
     });
 }
 

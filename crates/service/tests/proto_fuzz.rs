@@ -4,8 +4,8 @@
 //!
 //! The server contract under fire: never panic, always answer a
 //! structured single-line reply (`OK …`, `ERR …`, `OVERLOAD …`), and
-//! leave the shared schema untouched by failed parses — the PR 8
-//! transactional-parse guarantee, extended to the wire.
+//! let no failed parse leak a relation into later requests — each
+//! `DECIDE` parses against a schema of its own.
 //!
 //! Deterministic: every generator is driven by `StdRng::seed_from_u64`
 //! (the vendored offline rand shim), so a failure reproduces exactly.
@@ -194,7 +194,7 @@ fn server_survives_a_random_line_storm_and_keeps_the_schema_clean() {
     };
     with_server(config, |addr| {
         let mut client = Client::connect(addr);
-        // Canary 1: register R at arity 2 before the storm.
+        // Canary 1: cache a decision over R at arity 2 before the storm.
         let before = client.roundtrip("DECIDE B Q() :- R(x, y) <= Q() :- R(u, u)");
         assert!(before.starts_with("OK "), "{before}");
 
@@ -206,8 +206,8 @@ fn server_survives_a_random_line_storm_and_keeps_the_schema_clean() {
                 line = format!("DECIDE Why {}", "x".repeat(300));
             }
             if rng.gen_bool(0.03) {
-                // A malformed parse that *would* register relation FZ at
-                // arity 3 if parsing were not transactional.
+                // A malformed parse that declares relation FZ at arity 3
+                // before failing; the declaration must die with the request.
                 line = "DECIDE B Q() :- FZ(x, y, z), R(x <= Q() :- R(a, b)".to_string();
             }
             if changes_framing(&line) {
@@ -230,11 +230,11 @@ fn server_survives_a_random_line_storm_and_keeps_the_schema_clean() {
         assert_eq!(garbage, "ERR request is not valid UTF-8");
 
         // Canary 1 still answers — and from the cache, so the storm did
-        // not corrupt the shared schema's arity table for R.
+        // not corrupt the cached entry for R.
         let after = client.roundtrip("DECIDE B Q() :- R(p, q) <= Q() :- R(m, m)");
         assert!(after.starts_with("OK "), "{after}");
-        // Canary 2: FZ must NOT have leaked from the failed parses — a
-        // fresh use at a different arity is the proof.
+        // Canary 2: FZ must NOT have leaked from the failed parses into
+        // later requests — a fresh use at a different arity is the proof.
         let fz = client.roundtrip("DECIDE B Q() :- FZ(a) <= Q() :- FZ(b)");
         assert!(
             fz.starts_with("OK "),
