@@ -35,119 +35,3 @@ pub mod thread {
     #[cfg(not(feature = "annot_loom"))]
     pub use std::thread::{available_parallelism, scope, yield_now};
 }
-
-/// Deterministic logical time, for code that must expire or age state
-/// without reading a wall clock.
-///
-/// The repo lint bans `Instant::now` / `SystemTime` from the deterministic
-/// crates, and the service's cache-eviction logic wants to stay
-/// model-checkable (every run of a fixed operation sequence must age
-/// entries identically).  [`clock::LogicalClock`] is the sanctioned tick
-/// source: a monotonic counter on the facade's own atomics, so under the
-/// `annot_loom` feature its loads and increments are scheduled by the model
-/// checker like every other synchronisation operation.
-pub mod clock {
-    use super::atomic::{AtomicU64, Ordering};
-
-    /// A monotonic logical clock: time advances only when a caller says so
-    /// (typically once per request), never by itself.
-    ///
-    /// Ticks start at zero and only grow; concurrent [`advance`] calls
-    /// return distinct ticks.  Readers may observe a tick slightly behind
-    /// the newest advance — fine for expiry decisions, which are
-    /// approximate by design.
-    ///
-    /// [`advance`]: LogicalClock::advance
-    #[derive(Debug)]
-    pub struct LogicalClock {
-        ticks: AtomicU64,
-    }
-
-    impl Default for LogicalClock {
-        fn default() -> Self {
-            LogicalClock::new()
-        }
-    }
-
-    impl LogicalClock {
-        /// A clock at tick zero.
-        pub fn new() -> LogicalClock {
-            LogicalClock {
-                ticks: AtomicU64::new(0),
-            }
-        }
-
-        /// The current tick.
-        pub fn now(&self) -> u64 {
-            // relaxed: a monotonic counter read for approximate expiry
-            // decisions; no other memory depends on its ordering.
-            self.ticks.load(Ordering::Relaxed)
-        }
-
-        /// Advances time by one tick and returns the tick just entered.
-        pub fn advance(&self) -> u64 {
-            // relaxed: fetch_add is an RMW, so concurrent advances still
-            // return distinct ticks; no other memory is published through
-            // the clock.
-            self.ticks.fetch_add(1, Ordering::Relaxed) + 1
-        }
-    }
-
-    #[cfg(all(test, not(feature = "annot_loom")))]
-    mod tests {
-        use super::*;
-
-        #[test]
-        fn ticks_are_monotonic_and_distinct() {
-            let clock = LogicalClock::new();
-            assert_eq!(clock.now(), 0);
-            assert_eq!(clock.advance(), 1);
-            assert_eq!(clock.advance(), 2);
-            assert_eq!(clock.now(), 2);
-        }
-
-        #[test]
-        fn concurrent_advances_never_duplicate_a_tick() {
-            let clock = LogicalClock::new();
-            let mut seen: Vec<u64> = crate::sync::thread::scope(|s| {
-                let handles: Vec<_> = (0..4)
-                    .map(|_| s.spawn(|| (0..100).map(|_| clock.advance()).collect::<Vec<u64>>()))
-                    .collect();
-                handles
-                    .into_iter()
-                    .flat_map(|h| h.join().expect("clock worker"))
-                    .collect()
-            });
-            seen.sort_unstable();
-            let expected: Vec<u64> = (1..=400).collect();
-            assert_eq!(seen, expected, "every tick handed out exactly once");
-            assert_eq!(clock.now(), 400);
-        }
-    }
-
-    /// Exhaustive interleaving check of the clock's uniqueness guarantee,
-    /// run with `cargo test -p annot-core --features annot_loom` alongside
-    /// the steal-pool and incumbent protocols.
-    #[cfg(all(test, feature = "annot_loom"))]
-    mod loom_model {
-        use super::*;
-
-        /// In every schedule of two concurrently advancing threads, the
-        /// returned ticks are distinct and the final reading covers both —
-        /// the property the cache's TTL bookkeeping leans on.
-        #[test]
-        fn concurrent_advances_are_distinct_in_every_schedule() {
-            loom::model(|| {
-                let clock = LogicalClock::new();
-                let (first, second) = crate::sync::thread::scope(|s| {
-                    let handle = s.spawn(|| clock.advance());
-                    let mine = clock.advance();
-                    (mine, handle.join().expect("advancing thread"))
-                });
-                assert_ne!(first, second, "concurrent advances must not collide");
-                assert_eq!(first.max(second), 2);
-                assert_eq!(clock.now(), 2);
-            });
-        }
-    }
-}

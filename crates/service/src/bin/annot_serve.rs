@@ -2,7 +2,7 @@
 //!
 //! ```text
 //! annot_serve [ADDR] [--workers N]
-//!             [--cache-capacity N] [--cache-ttl TICKS] [--byte-budget BYTES]
+//!             [--cache-capacity N] [--byte-budget BYTES]
 //!             [--max-vars N] [--max-atoms N] [--max-batch N]
 //!             [--max-connections N] [--read-timeout-ms MS] [--max-line-bytes N]
 //! ```
@@ -16,8 +16,6 @@
 //! [`annot_service::ServiceConfig`]:
 //!
 //! * `--cache-capacity N` — max cache entries per shard (64 shards);
-//! * `--cache-ttl TICKS` — entry time-to-live in logical ticks (one tick
-//!   per decision request);
 //! * `--byte-budget BYTES` — global cap on the cache's approximate byte
 //!   footprint (the `approx_bytes` STATS field is the enforcement input);
 //! * `--max-vars N` / `--max-atoms N` — per-request decide budget: any
@@ -45,7 +43,6 @@ fn main() {
             "--cache-capacity" => {
                 config.cache.shard_capacity = Some(parse_flag(&mut args, "--cache-capacity"));
             }
-            "--cache-ttl" => config.cache.ttl = Some(parse_flag(&mut args, "--cache-ttl")),
             "--byte-budget" => {
                 config.cache.byte_budget = Some(parse_flag(&mut args, "--byte-budget"));
             }
@@ -65,7 +62,7 @@ fn main() {
             "--help" | "-h" => {
                 println!(
                     "usage: annot_serve [ADDR] [--workers N] \
-                     [--cache-capacity N] [--cache-ttl TICKS] [--byte-budget BYTES] \
+                     [--cache-capacity N] [--byte-budget BYTES] \
                      [--max-vars N] [--max-atoms N] [--max-batch N] \
                      [--max-connections N] [--read-timeout-ms MS] [--max-line-bytes N]"
                 );

@@ -116,8 +116,9 @@ fn with_server(config: ServiceConfig, session: impl FnOnce(SocketAddr, &Service)
     service
 }
 
-/// Phase 1: the PR 8 scripted session.  Default config — no eviction —
-/// so every counter is exact.
+/// Phase 1: a scripted session on the default config — unbounded cache,
+/// no budgets, no timeouts — so nothing is evicted and every counter is
+/// exact.
 fn exact_counter_session() {
     let service = with_server(ServiceConfig::default(), |addr, _| {
         let mut client = Client::connect(addr);
@@ -209,7 +210,6 @@ fn eviction_session() {
     let config = ServiceConfig {
         cache: CacheConfig {
             shard_capacity: Some(2),
-            ttl: None,
             byte_budget: Some(BUDGET),
         },
         ..ServiceConfig::default()

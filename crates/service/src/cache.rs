@@ -24,15 +24,11 @@
 //! ## Bounds and eviction
 //!
 //! A long-lived server cannot let the shards grow without bound, so the
-//! cache takes a [`CacheConfig`] with three independent, all-optional
-//! limits:
+//! cache takes a [`CacheConfig`] with two independent, optional limits:
 //!
 //! * **per-shard capacity** — each shard holds at most `shard_capacity`
 //!   entries; inserting past it evicts via a CLOCK-style second-chance
 //!   scan (below);
-//! * **TTL** — entries older than `ttl` *logical ticks* are expired
-//!   lazily: on any probe of their bucket, and preferentially during
-//!   eviction scans;
 //! * **global byte budget** — the per-entry footprint estimate that
 //!   `STATS` reports as `approx_bytes` is also the *enforcement input*:
 //!   after every insert the cache evicts (round-robin across shards,
@@ -43,25 +39,21 @@
 //!   budget bounds real memory (within 2×, pinned by a counting-allocator
 //!   test).
 //!
-//! Time is a [`LogicalClock`] from the `annot_core::sync` facade — one
-//! tick per decision request, never a wall clock — so a fixed operation
-//! sequence ages and evicts identically on every run, and the clock's
-//! atomics are schedulable by the vendored loom model checker like any
-//! other facade primitive.
+//! Entries never expire: whether `Q₁ ⊑_K Q₂` holds is fixed by the two
+//! queries and the semiring, so a cached [`Decision`] cannot go stale and
+//! only memory pressure is a reason to drop one.
 //!
 //! The eviction policy is the classic second-chance ring: every shard
 //! keeps its entries in an insertion-ordered ring; a hit sets the entry's
-//! `referenced` bit; the evictor pops the ring front, expires TTL-stale
-//! entries outright, grants one more round to referenced entries
-//! (clearing the bit, pushing them to the back), and evicts the first
-//! unreferenced entry it meets.  O(1) amortised, no per-hit reordering,
-//! and — because all state is under the shard mutex and aged by the
-//! logical clock — deterministic for a fixed operation order.
+//! `referenced` bit; the evictor pops the ring front, grants one more
+//! round to referenced entries (clearing the bit, pushing them to the
+//! back), and evicts the first unreferenced entry it meets.  O(1)
+//! amortised, no per-hit reordering, and — because all state is under the
+//! shard mutex — deterministic for a fixed operation order.
 
 use annot_core::decide::Decision;
 use annot_core::registry::SemiringId;
 use annot_core::sync::atomic::{AtomicU64, Ordering};
-use annot_core::sync::clock::LogicalClock;
 use annot_core::sync::{Mutex, PoisonError};
 use annot_hom::are_isomorphic_ucq;
 use annot_query::key::{hash64, ucq_code};
@@ -73,17 +65,14 @@ use std::mem::{size_of, size_of_val};
 /// the worker count keeps contention negligible without wasting memory.
 const NUM_SHARDS: usize = 64;
 
-/// Size/age limits for the cache.  Every field is optional; the default
-/// (`CacheConfig::default()`) is the unbounded PR 8 behaviour, which the
-/// exact-counter smoke tests pin.
+/// Size limits for the cache.  Both fields are optional; the default
+/// (`CacheConfig::default()`) is an unbounded cache that never evicts,
+/// which the exact-counter smoke tests pin.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct CacheConfig {
     /// Maximum entries per shard (`None` = unbounded).  The whole cache
     /// holds at most `64 × shard_capacity` entries.
     pub shard_capacity: Option<usize>,
-    /// Entry time-to-live in logical ticks (`None` = entries never
-    /// expire).  The clock advances once per decision request.
-    pub ttl: Option<u64>,
     /// Global cap on the tracked approximate byte footprint (`None` =
     /// unbounded).  Enforced after every insert; `STATS.approx_bytes`
     /// reports the same tracked number.
@@ -99,24 +88,11 @@ struct Entry {
     decision: Decision,
     /// Shard-unique id linking this entry to its ring slot.
     id: u64,
-    /// Tick at insertion — the TTL reference point.
-    stamp: u64,
     /// Precomputed footprint estimate (see [`entry_footprint`]).
     bytes: u64,
     /// Second-chance bit: set on every hit, cleared (once) by the
     /// eviction scan before the entry becomes a victim.
     referenced: bool,
-}
-
-/// Why an eviction scan was started — selects the counter to bump for a
-/// non-expired victim.  (A TTL-expired victim always counts as expired,
-/// whatever triggered the scan.)
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-enum EvictReason {
-    /// Shard was over its entry capacity.
-    Capacity,
-    /// The global byte budget was exceeded.
-    Bytes,
 }
 
 /// One shard: the fingerprint-keyed table plus the second-chance ring.
@@ -150,21 +126,21 @@ pub struct CacheStats {
     pub hits: u64,
     /// Requests that missed and ran a decider.
     pub misses: u64,
-    /// Decider executions (== misses, minus races that lost the insert).
+    /// Decider executions: one per miss, so always `== misses`.  A miss
+    /// whose insert loses a race to the same pair still decided; the lost
+    /// race shows up in `inserts`, not here.
     pub decides: u64,
     /// Entries ever inserted (`entries + evictions` at quiescence; racing
-    /// same-pair inserts lose and do not count).
+    /// same-pair inserts lose and do not count).  An entry refused for
+    /// being larger than the whole byte budget counts as an insert that
+    /// the budget evicts at once, so the identity survives refusals.
     pub inserts: u64,
     /// Entries currently stored.
     pub entries: u64,
     /// Entries evicted for shard-capacity pressure.
     pub evicted_capacity: u64,
-    /// Entries expired by the TTL.
-    pub evicted_expired: u64,
     /// Entries evicted (or refused at insert) by the global byte budget.
     pub evicted_bytes: u64,
-    /// Current logical tick (one per decision request).
-    pub ticks: u64,
     /// Entries per shard, indexed by shard number — the load-balance view
     /// of the fingerprint distribution.  Sums to [`CacheStats::entries`].
     pub shard_entries: Vec<u64>,
@@ -178,7 +154,7 @@ pub struct CacheStats {
 impl CacheStats {
     /// Total evictions, all reasons.
     pub fn evictions(&self) -> u64 {
-        self.evicted_capacity + self.evicted_expired + self.evicted_bytes
+        self.evicted_capacity + self.evicted_bytes
     }
 }
 
@@ -186,14 +162,12 @@ impl CacheStats {
 pub struct Cache {
     config: CacheConfig,
     shards: Vec<Mutex<Shard>>,
-    clock: LogicalClock,
     hits: AtomicU64,
     misses: AtomicU64,
     decides: AtomicU64,
     inserts: AtomicU64,
     entries: AtomicU64,
     evicted_capacity: AtomicU64,
-    evicted_expired: AtomicU64,
     evicted_bytes: AtomicU64,
     /// Tracked total of every live entry's `bytes` — the byte-budget
     /// enforcement input and the `STATS.approx_bytes` source.
@@ -201,7 +175,7 @@ pub struct Cache {
 }
 
 impl Cache {
-    /// An empty, unbounded cache (the PR 8 behaviour).
+    /// An empty, unbounded cache that never evicts.
     pub fn new() -> Cache {
         Cache::with_config(CacheConfig::default())
     }
@@ -211,14 +185,12 @@ impl Cache {
         Cache {
             config,
             shards: (0..NUM_SHARDS).map(|_| Mutex::new(Shard::new())).collect(),
-            clock: LogicalClock::new(),
             hits: AtomicU64::new(0),
             misses: AtomicU64::new(0),
             decides: AtomicU64::new(0),
             inserts: AtomicU64::new(0),
             entries: AtomicU64::new(0),
             evicted_capacity: AtomicU64::new(0),
-            evicted_expired: AtomicU64::new(0),
             evicted_bytes: AtomicU64::new(0),
             bytes: AtomicU64::new(0),
         }
@@ -246,10 +218,6 @@ impl Cache {
     /// Returns the cached decision for an isomorphic variant of
     /// `(semiring, q1, q2)`, or runs `decide` and caches its result.
     /// The second component reports whether this was a cache hit.
-    ///
-    /// Each call advances the logical clock by one tick; TTL expiry in the
-    /// probed bucket happens before the lookup, so an expired entry is
-    /// never served.
     pub fn get_or_decide(
         &self,
         semiring: SemiringId,
@@ -257,13 +225,11 @@ impl Cache {
         q2: &Ucq,
         decide: impl FnOnce(&Ucq, &Ucq) -> Decision,
     ) -> (Decision, bool) {
-        let now = self.clock.advance();
         let key = Self::fingerprint(semiring, q1, q2);
         let shard_index = (key as usize) % NUM_SHARDS;
         let shard = &self.shards[shard_index];
         {
             let mut guard = self.lock(shard);
-            self.expire_bucket(&mut guard, key, now);
             if let Some(found) = Self::lookup(&mut guard, key, semiring, q1, q2) {
                 // relaxed: monotonic statistics counter, no ordering needed
                 self.hits.fetch_add(1, Ordering::Relaxed);
@@ -279,14 +245,15 @@ impl Cache {
         let entry_bytes = entry_footprint(q1, q2);
         if self.config.byte_budget.is_some_and(|b| entry_bytes > b) {
             // A single entry larger than the whole budget can never be
-            // held without busting it — refuse to cache, count it.
-            // relaxed: monotonic statistics counter, no ordering needed
+            // held without busting it — refuse to cache, and count it as
+            // an insert the budget evicts at once, so the books balance.
+            // relaxed: monotonic statistics counters, no ordering needed
+            self.inserts.fetch_add(1, Ordering::Relaxed);
             self.evicted_bytes.fetch_add(1, Ordering::Relaxed);
             return (decision, false);
         }
         {
             let mut guard = self.lock(shard);
-            self.expire_bucket(&mut guard, key, now);
             if Self::lookup(&mut guard, key, semiring, q1, q2).is_none() {
                 let id = guard.next_id;
                 guard.next_id += 1;
@@ -299,7 +266,6 @@ impl Cache {
                     q2: q2.clone(),
                     decision: decision.clone(),
                     id,
-                    stamp: now,
                     bytes: entry_bytes,
                     referenced: false,
                 });
@@ -311,75 +277,38 @@ impl Cache {
                 self.bytes.fetch_add(entry_bytes, Ordering::Relaxed);
                 if let Some(cap) = self.config.shard_capacity {
                     while guard.entries as usize > cap {
-                        if self
-                            .evict_one(&mut guard, now, EvictReason::Capacity)
-                            .is_none()
-                        {
+                        if !self.evict_one(&mut guard, &self.evicted_capacity) {
                             break;
                         }
                     }
                 }
             }
         }
-        self.enforce_byte_budget(shard_index, now);
+        self.enforce_byte_budget(shard_index);
         (decision, false)
     }
 
-    /// Removes TTL-expired entries from the bucket about to be probed, so
-    /// stale decisions are never served and the counters see the expiry.
-    fn expire_bucket(&self, shard: &mut Shard, key: u64, now: u64) {
-        let Some(ttl) = self.config.ttl else {
-            return;
-        };
-        let Some(bucket) = shard.table.get_mut(&key) else {
-            return;
-        };
-        let before = bucket.len();
-        let mut freed = 0u64;
-        bucket.retain(|e| {
-            if now.saturating_sub(e.stamp) >= ttl {
-                freed += e.bytes;
-                false
-            } else {
-                true
-            }
-        });
-        let expired = (before - bucket.len()) as u64;
-        if bucket.is_empty() {
-            shard.table.remove(&key);
-        }
-        if expired > 0 {
-            shard.entries -= expired;
-            // relaxed: monotonic statistics counters, no ordering needed
-            self.evicted_expired.fetch_add(expired, Ordering::Relaxed);
-            self.entries.fetch_sub(expired, Ordering::Relaxed);
-            self.bytes.fetch_sub(freed, Ordering::Relaxed);
-        }
-    }
-
     /// Evicts one entry from `shard` via the second-chance scan: ring
-    /// front first, TTL-expired entries unconditionally, referenced
-    /// entries spared once.  Returns the freed byte estimate, or `None`
-    /// when the shard is empty.  Caller holds the shard lock.
-    fn evict_one(&self, shard: &mut Shard, now: u64, reason: EvictReason) -> Option<u64> {
+    /// front first, referenced entries spared once.  Counts the victim in
+    /// `counter` (the reason the scan ran) and returns `false` when the
+    /// shard is empty.  Caller holds the shard lock.
+    fn evict_one(&self, shard: &mut Shard, counter: &AtomicU64) -> bool {
         // Each live entry is popped at most twice (once to clear its
         // referenced bit, once to evict), and stale slots are consumed,
         // so the scan terminates; the explicit bound documents it.
         let mut budget = 2 * shard.ring.len() + 1;
         while budget > 0 {
             budget -= 1;
-            let (key, id) = shard.ring.pop_front()?;
+            let Some((key, id)) = shard.ring.pop_front() else {
+                return false;
+            };
             let Some(bucket) = shard.table.get_mut(&key) else {
                 continue; // stale slot: the whole bucket is gone
             };
             let Some(pos) = bucket.iter().position(|e| e.id == id) else {
                 continue; // stale slot: this entry is gone
             };
-            let expired = self
-                .config
-                .ttl
-                .is_some_and(|ttl| now.saturating_sub(bucket[pos].stamp) >= ttl);
-            if !expired && bucket[pos].referenced {
+            if bucket[pos].referenced {
                 bucket[pos].referenced = false;
                 shard.ring.push_back((key, id));
                 continue;
@@ -389,21 +318,13 @@ impl Cache {
                 shard.table.remove(&key);
             }
             shard.entries -= 1;
-            let counter = if expired {
-                &self.evicted_expired
-            } else {
-                match reason {
-                    EvictReason::Capacity => &self.evicted_capacity,
-                    EvictReason::Bytes => &self.evicted_bytes,
-                }
-            };
             // relaxed: monotonic statistics counters, no ordering needed
             counter.fetch_add(1, Ordering::Relaxed);
             self.entries.fetch_sub(1, Ordering::Relaxed);
             self.bytes.fetch_sub(entry.bytes, Ordering::Relaxed);
-            return Some(entry.bytes);
+            return true;
         }
-        None
+        false
     }
 
     /// Brings the tracked byte total back under the budget by evicting
@@ -412,7 +333,7 @@ impl Cache {
     /// Stops early when a full round frees nothing (all remaining bytes
     /// belong to entries raced in by concurrent inserts, each of which
     /// runs its own enforcement after its insert).
-    fn enforce_byte_budget(&self, start: usize, now: u64) {
+    fn enforce_byte_budget(&self, start: usize) {
         let Some(budget) = self.config.byte_budget else {
             return;
         };
@@ -426,12 +347,7 @@ impl Cache {
                 }
                 let shard = &self.shards[(start + offset) % NUM_SHARDS];
                 let mut guard = self.lock(shard);
-                if self
-                    .evict_one(&mut guard, now, EvictReason::Bytes)
-                    .is_some()
-                {
-                    freed_any = true;
-                }
+                freed_any |= self.evict_one(&mut guard, &self.evicted_bytes);
             }
             if !freed_any {
                 return;
@@ -488,10 +404,7 @@ impl Cache {
             // relaxed: statistics snapshot, approximate by design
             evicted_capacity: self.evicted_capacity.load(Ordering::Relaxed),
             // relaxed: statistics snapshot, approximate by design
-            evicted_expired: self.evicted_expired.load(Ordering::Relaxed),
-            // relaxed: statistics snapshot, approximate by design
             evicted_bytes: self.evicted_bytes.load(Ordering::Relaxed),
-            ticks: self.clock.now(),
             shard_entries,
             // relaxed: statistics snapshot, approximate by design
             approx_bytes: self.bytes.load(Ordering::Relaxed),
@@ -593,7 +506,6 @@ mod tests {
         assert_eq!(stats.entries, 1);
         assert_eq!(stats.inserts, 1);
         assert_eq!(stats.evictions(), 0, "unbounded cache never evicts");
-        assert_eq!(stats.ticks, 2, "one tick per request");
     }
 
     #[test]
@@ -718,6 +630,7 @@ mod tests {
         assert_eq!(stats.entries, 0);
         assert_eq!(stats.approx_bytes, 0);
         assert_eq!(stats.evicted_bytes, 1, "the refusal is counted");
+        assert_eq!(stats.inserts, stats.entries + stats.evictions());
         // The same request decides again — nothing was cached.
         let (_, hit) = cache.get_or_decide(n, &q1, &q2, decide_with(n));
         assert!(!hit);
@@ -788,43 +701,14 @@ mod tests {
     }
 
     #[test]
-    fn ttl_expires_entries_on_later_probes() {
-        let mut s = Schema::with_relations([("R", 2)]);
-        let q1 = parser::parse_ucq(&mut s, "Q() :- R(u, v), R(u, w)").unwrap();
-        let q2 = parser::parse_ucq(&mut s, "Q() :- R(u, v), R(u, v)").unwrap();
-        let n = SemiringId::from_name("N").unwrap();
-        let cache = Cache::with_config(CacheConfig {
-            ttl: Some(3),
-            ..CacheConfig::default()
-        });
-        cache.get_or_decide(n, &q1, &q2, decide_with(n)); // tick 1, stamp 1
-        let (_, hit) = cache.get_or_decide(n, &q1, &q2, |_, _| panic!("cached")); // tick 2
-        assert!(hit, "within the TTL the entry serves");
-        // Advance time with unrelated requests (distinct pair).
-        let r1 = parser::parse_ucq(&mut s, "Q() :- R(a, b)").unwrap();
-        let r2 = parser::parse_ucq(&mut s, "Q() :- R(c, d), R(d, c)").unwrap();
-        cache.get_or_decide(n, &r1, &r2, decide_with(n)); // tick 3
-        cache.get_or_decide(n, &r1, &r2, |_, _| panic!("cached")); // tick 4
-                                                                   // tick 5: 5 - 1 >= 3 — the original entry is expired, re-decided.
-        let (_, hit) = cache.get_or_decide(n, &q1, &q2, decide_with(n));
-        assert!(!hit, "expired entries must not serve");
-        let stats = cache.stats();
-        assert!(
-            stats.evicted_expired >= 1,
-            "expiry must be counted: {stats:?}"
-        );
-        assert_eq!(stats.inserts, stats.entries + stats.evictions());
-    }
-
-    #[test]
     fn eviction_is_deterministic_for_a_fixed_operation_order() {
-        // Logical time ⇒ two identical runs age and evict identically.
+        // All eviction state is under the shard locks ⇒ two identical
+        // runs evict identically.
         let run = || {
             let pairs = distinct_pairs(10);
             let n = SemiringId::from_name("N").unwrap();
             let cache = Cache::with_config(CacheConfig {
                 shard_capacity: Some(1),
-                ttl: Some(4),
                 byte_budget: Some(4096),
             });
             for (q1, q2) in pairs.iter().chain(pairs.iter()) {
@@ -837,7 +721,6 @@ mod tests {
                 stats.inserts,
                 stats.entries,
                 stats.evicted_capacity,
-                stats.evicted_expired,
                 stats.evicted_bytes,
                 stats.shard_entries.clone(),
             )

@@ -44,12 +44,12 @@ use std::time::Duration;
 /// connection's batch cannot take every core from the others.
 const BATCH_WORKERS: usize = 4;
 
-/// Knobs for the server's sustained-traffic behaviour.  The default is
-/// the PR 8 behaviour: unbounded cache, no budgets, no timeouts — every
-/// limit is opt-in, so exact-counter tests stay pinned.
+/// Knobs for the server's sustained-traffic behaviour.  The default is an
+/// unbounded cache, no budgets and no timeouts — every limit is opt-in,
+/// so exact-counter tests stay pinned.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct ServiceConfig {
-    /// Cache bounds (shard capacity, TTL ticks, global byte budget).
+    /// Cache bounds (shard capacity, global byte budget).
     pub cache: CacheConfig,
     /// Per-request decide budget: maximum variables in any disjunct of
     /// either query (`None` = unbounded).  Exceeding it is an
@@ -142,8 +142,8 @@ impl From<&str> for BatchItem {
 }
 
 impl Service {
-    /// A fresh service with an empty, unbounded cache and no admission
-    /// limits (the PR 8 behaviour).
+    /// A fresh service with an empty, unbounded cache, no admission
+    /// limits and no timeouts.
     pub fn new() -> Service {
         Service::with_config(ServiceConfig::default())
     }

@@ -14,9 +14,8 @@ use std::net::{SocketAddr, TcpListener, TcpStream};
 
 const CLIENTS: usize = 8;
 const REQUESTS_PER_CLIENT: usize = 60;
-/// Large enough that any single entry fits (so no insert is refused and
-/// the `inserts = entries + evictions` identity holds exactly), small
-/// enough that the storm must evict to stay under it.
+/// Large enough that any single entry fits (so every miss can be cached),
+/// small enough that the storm must evict to stay under it.
 const BYTE_BUDGET: u64 = 16 * 1024;
 
 /// One member of the iso-renamed family: the same triangle-ish shape over
@@ -71,7 +70,6 @@ fn eviction_churn_storm_balances_the_books_and_respects_the_budget() {
     let config = ServiceConfig {
         cache: CacheConfig {
             shard_capacity: Some(2),
-            ttl: Some(200),
             byte_budget: Some(BYTE_BUDGET),
         },
         ..ServiceConfig::default()
@@ -154,11 +152,6 @@ fn eviction_churn_storm_balances_the_books_and_respects_the_budget() {
         assert_eq!(
             shard_sum, entries,
             "shard occupancy sums to entries: {stats}"
-        );
-        assert_eq!(
-            stat_u64(&stats, "ticks"),
-            total,
-            "one logical tick per decision request: {stats}"
         );
 
         assert_eq!(probe.roundtrip("SHUTDOWN"), "OK shutting-down");

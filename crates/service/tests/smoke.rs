@@ -112,7 +112,6 @@ fn tiny_capacity_session_evicts_and_stays_within_budget() {
     let service = Service::with_config(ServiceConfig {
         cache: CacheConfig {
             shard_capacity: Some(1),
-            ttl: None,
             byte_budget: Some(BUDGET),
         },
         ..ServiceConfig::default()
