@@ -24,7 +24,7 @@
 //! the `s` sample annotations of each slot, the slot pushed at depth `i` is
 //! annotated with the provenance *variable* `xᵢ`, and both queries'
 //! all-outputs maps over `N[X]` are maintained by an incremental
-//! [`EvalState`](annot_query::eval::EvalState) (`push_fact` on descent,
+//! [`EvalState`] (`push_fact` on descent,
 //! `pop_fact` on backtrack).  A node therefore pays for the delta joins of
 //! its newest fact **once**, not once per concrete annotation assignment —
 //! the enumeration's `s^k` factor never touches the join machinery.
@@ -112,10 +112,10 @@ use crate::steal::StealPool;
 use crate::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use crate::sync::Mutex;
 use annot_polynomial::{Monomial, Polynomial, Var};
-use annot_query::eval::{eval_cq, eval_ducq_all_outputs, eval_ucq_all_outputs, EvalState};
+use annot_query::eval::{eval, eval_all_outputs, EvalState, Query};
 use annot_query::{Cq, DbValue, Ducq, IdTuple, Instance, RelId, Schema, Tuple, Ucq, ValueId};
 use annot_semiring::{NatPoly, Semiring};
-use std::collections::{BTreeMap, HashMap};
+use std::collections::HashMap;
 use std::fmt;
 
 /// The path of a prefix-tree node from the root: one `(slot, branch)` pair
@@ -125,44 +125,6 @@ use std::fmt;
 /// exactly the sequential depth-first visit order, which makes the smallest
 /// recorded path the deterministic witness.
 type PrefixPath = Vec<(u32, u32)>;
-
-/// A borrowed union query the brute-force oracle can search over: a plain
-/// [`Ucq`] or a [`Ducq`] (union of CCQs, whose disjuncts carry disequality
-/// constraints).  The two share every piece of the search machinery — the
-/// incremental [`EvalState`] has constructors for both, and the one-shot
-/// all-outputs evaluators differ only in which family they dispatch to.
-#[derive(Clone, Copy)]
-enum UnionQuery<'q> {
-    Ucq(&'q Ucq),
-    Ducq(&'q Ducq),
-}
-
-impl<'q> UnionQuery<'q> {
-    /// The schema of the first disjunct, if any.
-    fn first_schema(self) -> Option<&'q Schema> {
-        match self {
-            UnionQuery::Ucq(u) => u.disjuncts().first().map(|q| q.schema()),
-            UnionQuery::Ducq(d) => d.disjuncts().first().map(|c| c.cq().schema()),
-        }
-    }
-
-    /// An incremental evaluation state for the query.
-    fn eval_state<K: Semiring>(self) -> EvalState<'q, K> {
-        match self {
-            UnionQuery::Ucq(u) => EvalState::for_ucq(u),
-            UnionQuery::Ducq(d) => EvalState::for_ducq(d),
-        }
-    }
-
-    /// The one-shot all-outputs map over an instance (the naive oracle's
-    /// evaluation path).
-    fn all_outputs<K: Semiring>(self, instance: &Instance<K>) -> BTreeMap<Tuple, K> {
-        match self {
-            UnionQuery::Ucq(u) => eval_ucq_all_outputs(u, instance),
-            UnionQuery::Ducq(d) => eval_ducq_all_outputs(d, instance),
-        }
-    }
-}
 
 /// A semantic counterexample to `Q₁ ⊆_K Q₂`.
 #[derive(Clone, Debug)]
@@ -348,7 +310,7 @@ pub fn find_counterexample_cq<K: Semiring>(
     q2: &Cq,
     config: &BruteForceConfig,
 ) -> Option<CounterExample<K>> {
-    find_counterexample_ucq(&Ucq::single(q1.clone()), &Ucq::single(q2.clone()), config)
+    within_budget(try_find_counterexample_cq(q1, q2, config))
 }
 
 /// UCQ version of [`find_counterexample_cq`].
@@ -357,11 +319,7 @@ pub fn find_counterexample_ucq<K: Semiring>(
     q2: &Ucq,
     config: &BruteForceConfig,
 ) -> Option<CounterExample<K>> {
-    match try_find_counterexample_ucq(q1, q2, config) {
-        Ok(outcome) => outcome.counterexample,
-        // invariant: documented panic — the budget overflow contract of this wrapper (see its docs)
-        Err(err) => panic!("{err}"),
-    }
+    within_budget(try_find_counterexample_ucq(q1, q2, config))
 }
 
 /// Fallible CQ search: [`find_counterexample_cq`] returning the instance
@@ -371,7 +329,7 @@ pub fn try_find_counterexample_cq<K: Semiring>(
     q2: &Cq,
     config: &BruteForceConfig,
 ) -> Result<SearchOutcome<K>, BruteForceError> {
-    try_find_counterexample_ucq(&Ucq::single(q1.clone()), &Ucq::single(q2.clone()), config)
+    try_find_counterexample_union(q1, q2, config)
 }
 
 /// The prefix-memoized, optionally parallel counterexample search (see the
@@ -390,7 +348,7 @@ pub fn try_find_counterexample_ucq<K: Semiring>(
     q2: &Ucq,
     config: &BruteForceConfig,
 ) -> Result<SearchOutcome<K>, BruteForceError> {
-    try_find_counterexample_union(UnionQuery::Ucq(q1), UnionQuery::Ucq(q2), config)
+    try_find_counterexample_union(q1, q2, config)
 }
 
 /// The union-of-CCQs counterpart of [`try_find_counterexample_ucq`]: the
@@ -401,7 +359,7 @@ pub fn try_find_counterexample_ducq<K: Semiring>(
     q2: &Ducq,
     config: &BruteForceConfig,
 ) -> Result<SearchOutcome<K>, BruteForceError> {
-    try_find_counterexample_union(UnionQuery::Ducq(q1), UnionQuery::Ducq(q2), config)
+    try_find_counterexample_union(q1, q2, config)
 }
 
 /// The union-of-CCQs counterpart of [`find_counterexample_ucq`].
@@ -413,20 +371,36 @@ pub fn find_counterexample_ducq<K: Semiring>(
     q2: &Ducq,
     config: &BruteForceConfig,
 ) -> Option<CounterExample<K>> {
-    match try_find_counterexample_ducq(q1, q2, config) {
+    within_budget(try_find_counterexample_ducq(q1, q2, config))
+}
+
+/// The counterexample of a search that must fit its instance budget: the
+/// shared body of the panicking `find_*` wrappers.
+fn within_budget<K: Semiring>(
+    outcome: Result<SearchOutcome<K>, BruteForceError>,
+) -> Option<CounterExample<K>> {
+    match outcome {
         Ok(outcome) => outcome.counterexample,
-        // invariant: documented panic — the budget overflow contract of this wrapper (see its docs)
+        // invariant: documented panic — the budget overflow contract of the `find_*` wrappers (see their docs)
         Err(err) => panic!("{err}"),
     }
 }
 
+/// The schema of the first disjunct of `q1`, else of `q2` (`None` when both
+/// are empty unions).
+fn first_schema<'q>(q1: &'q dyn Query, q2: &'q dyn Query) -> Option<&'q Schema> {
+    [q1, q2]
+        .into_iter()
+        .find_map(|q| q.lift().first().map(|d| d.cq.schema()))
+}
+
 /// The query-shape-agnostic core of the prefix-memoized search.
 fn try_find_counterexample_union<K: Semiring>(
-    q1: UnionQuery<'_>,
-    q2: UnionQuery<'_>,
+    q1: &(dyn Query + Sync),
+    q2: &(dyn Query + Sync),
     config: &BruteForceConfig,
 ) -> Result<SearchOutcome<K>, BruteForceError> {
-    let schema = match q1.first_schema().or_else(|| q2.first_schema()) {
+    let schema = match first_schema(q1, q2) {
         Some(schema) => schema.clone(),
         None => {
             return Ok(SearchOutcome {
@@ -784,8 +758,8 @@ trait PrefixWalk<K: Semiring> {
 
 /// Search state shared by all workers of one counterexample search.
 struct SearchContext<'s, K: Semiring> {
-    q1: UnionQuery<'s>,
-    q2: UnionQuery<'s>,
+    q1: &'s (dyn Query + Sync),
+    q2: &'s (dyn Query + Sync),
     schema: &'s Schema,
     /// Every tuple slot of the schema over the domain, in enumeration order,
     /// pre-interned into the schema's domain once — the walk never touches a
@@ -1079,8 +1053,8 @@ impl<'s, K: Semiring> Worker<'s, K> {
         let domain = ctx.schema.domain();
         Worker {
             ctx,
-            lhs: ctx.q1.eval_state().with_domain(domain.clone()),
-            rhs: ctx.q2.eval_state().with_domain(domain.clone()),
+            lhs: EvalState::new(ctx.q1).with_domain(domain.clone()),
+            rhs: EvalState::new(ctx.q2).with_domain(domain.clone()),
             stack: Vec::new(),
             naturals: vec![K::zero(), K::one()],
             caches: vec![NodeCache::new()],
@@ -1405,8 +1379,8 @@ impl<'s, K: Semiring> DirectWorker<'s, K> {
         let domain = ctx.schema.domain();
         DirectWorker {
             ctx,
-            lhs: ctx.q1.eval_state().with_domain(domain.clone()),
-            rhs: ctx.q2.eval_state().with_domain(domain.clone()),
+            lhs: EvalState::new(ctx.q1).with_domain(domain.clone()),
+            rhs: EvalState::new(ctx.q2).with_domain(domain.clone()),
             stack: Vec::new(),
         }
     }
@@ -1656,12 +1630,12 @@ pub fn no_counterexample_cq<K: Semiring>(q1: &Cq, q2: &Cq, config: &BruteForceCo
 /// Evaluates containment on a *single* given instance (useful for spot checks
 /// and for replaying counterexamples).
 pub fn holds_on_instance<K: Semiring>(q1: &Cq, q2: &Cq, instance: &Instance<K>, t: &Tuple) -> bool {
-    eval_cq(q1, instance, t).leq(&eval_cq(q2, instance, t))
+    eval(q1, instance, t).leq(&eval(q2, instance, t))
 }
 
 /// The previous oracle: materialise each instance via [`for_each_instance`]
 /// and evaluate both queries from scratch with the one-shot
-/// [`eval_ucq_all_outputs`].
+/// [`eval_all_outputs`].
 ///
 /// Retained as the reference implementation the differential test-suite
 /// checks the prefix-memoized search against; it ignores
@@ -1671,37 +1645,34 @@ pub fn find_counterexample_ucq_naive<K: Semiring>(
     q2: &Ucq,
     config: &BruteForceConfig,
 ) -> Option<CounterExample<K>> {
-    find_counterexample_union_naive(UnionQuery::Ucq(q1), UnionQuery::Ucq(q2), config)
+    find_counterexample_union_naive(q1, q2, config)
 }
 
 /// The union-of-CCQs counterpart of [`find_counterexample_ucq_naive`]: the
-/// per-instance one-shot reference oracle over
-/// [`eval_ducq_all_outputs`], retained for the differential suite.
+/// per-instance one-shot reference oracle, retained for the differential
+/// suite.
 pub fn find_counterexample_ducq_naive<K: Semiring>(
     q1: &Ducq,
     q2: &Ducq,
     config: &BruteForceConfig,
 ) -> Option<CounterExample<K>> {
-    find_counterexample_union_naive(UnionQuery::Ducq(q1), UnionQuery::Ducq(q2), config)
+    find_counterexample_union_naive(q1, q2, config)
 }
 
 fn find_counterexample_union_naive<K: Semiring>(
-    q1: UnionQuery<'_>,
-    q2: UnionQuery<'_>,
+    q1: &dyn Query,
+    q2: &dyn Query,
     config: &BruteForceConfig,
 ) -> Option<CounterExample<K>> {
-    let schema = match q1.first_schema().or_else(|| q2.first_schema()) {
-        Some(schema) => schema.clone(),
-        None => return None,
-    };
+    let schema = first_schema(q1, q2)?.clone();
     let mut found: Option<CounterExample<K>> = None;
     for_each_instance(&schema, config, &mut |instance: &Instance<K>| {
-        let lhs = q1.all_outputs(instance);
+        let lhs = eval_all_outputs(q1, instance);
         // When the lhs support is empty `Q₂` need not be evaluated at all.
         if lhs.is_empty() {
             return false;
         }
-        let rhs = q2.all_outputs(instance);
+        let rhs = eval_all_outputs(q2, instance);
         for (t, l) in &lhs {
             let r = rhs.get(t).cloned().unwrap_or_else(K::zero);
             if !l.leq(&r) {
@@ -1846,17 +1817,12 @@ pub fn quotiented_instance_count(
 /// extension that adds constants to atom arguments fails to compile here
 /// and must teach this guard about the new shape (the search then falls
 /// back to the full, unquotiented walk for queries that use it).
-fn queries_are_constant_free(q1: UnionQuery<'_>, q2: UnionQuery<'_>) -> bool {
-    fn cq_constant_free(cq: &Cq) -> bool {
-        cq.atoms()
+fn queries_are_constant_free(q1: &dyn Query, q2: &dyn Query) -> bool {
+    [q1, q2].iter().flat_map(|q| q.lift()).all(|d| {
+        d.cq.atoms()
             .iter()
             .all(|atom| atom.args.iter().all(|_var: &annot_query::QVar| true))
-    }
-    let constant_free = |q: UnionQuery<'_>| match q {
-        UnionQuery::Ucq(u) => u.disjuncts().iter().all(cq_constant_free),
-        UnionQuery::Ducq(d) => d.disjuncts().iter().all(|c| cq_constant_free(c.cq())),
-    };
-    constant_free(q1) && constant_free(q2)
+    })
 }
 
 /// All permutations of `{0, …, n−1}`, identity included, in no particular
@@ -2145,8 +2111,8 @@ mod tests {
         assert!(!holds_on_instance(&q1, &q2, &ce.instance, &ce.tuple));
         // The reported annotations match a from-scratch evaluation of the
         // reported instance (the memoized state and the witness agree).
-        let lhs = eval_cq(&q1, &ce.instance, &ce.tuple);
-        let rhs = eval_cq(&q2, &ce.instance, &ce.tuple);
+        let lhs = eval(&q1, &ce.instance, &ce.tuple);
+        let rhs = eval(&q2, &ce.instance, &ce.tuple);
         assert_eq!(ce.lhs, lhs);
         assert_eq!(ce.rhs, rhs);
         // The same pair over T⁺ has no counterexample (Ex. 4.6: containment

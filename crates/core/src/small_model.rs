@@ -21,8 +21,8 @@
 use crate::classes::PolyLeqFn;
 use crate::poly_order::PolynomialOrder;
 use annot_query::complete::{complete_description_cq, complete_description_ucq};
-use annot_query::eval::{eval_cq_all_outputs_rows, eval_ucq_all_outputs_rows};
-use annot_query::{CanonicalInstance, Cq, IdTuple, Ucq};
+use annot_query::eval::{eval_all_outputs_rows, Query};
+use annot_query::{CanonicalInstance, Cq, Ducq, IdTuple, Ucq};
 use annot_semiring::{NatPoly, Semiring};
 use std::collections::BTreeMap;
 
@@ -45,16 +45,23 @@ pub fn cq_contained_small_model<K: PolynomialOrder>(q1: &Cq, q2: &Cq) -> bool {
 /// ([`crate::decide`], [`crate::registry`]) can invoke it without a generic
 /// parameter.
 pub fn cq_contained_small_model_with(q1: &Cq, q2: &Cq, leq: PolyLeqFn) -> bool {
-    let description = complete_description_cq(q1);
-    for ccq in description.disjuncts() {
+    canonical_instances_ordered(&complete_description_cq(q1), q1, q2, leq)
+}
+
+/// Whether `Q₁^⟦Q⟧(t) ¹_K Q₂^⟦Q⟧(t)` holds for every CCQ `Q` of the
+/// complete description `⟨Q₁⟩` and every tuple `t`.
+fn canonical_instances_ordered(
+    description: &Ducq,
+    q1: &dyn Query,
+    q2: &dyn Query,
+    leq: PolyLeqFn,
+) -> bool {
+    description.disjuncts().iter().all(|ccq| {
         let canonical = CanonicalInstance::of_ccq(ccq);
-        let m1 = eval_cq_all_outputs_rows(q1, canonical.instance());
-        let m2 = eval_cq_all_outputs_rows(q2, canonical.instance());
-        if !supports_ordered(&m1, &m2, leq) {
-            return false;
-        }
-    }
-    true
+        let m1 = eval_all_outputs_rows(q1, canonical.instance());
+        let m2 = eval_all_outputs_rows(q2, canonical.instance());
+        supports_ordered(&m1, &m2, leq)
+    })
 }
 
 /// Compares the two all-outputs maps under `¹_K` on the union of their
@@ -96,19 +103,7 @@ pub fn ucq_contained_small_model<K: PolynomialOrder>(q1: &Ucq, q2: &Ucq) -> bool
 /// Monomorphic core of [`ucq_contained_small_model`] (see
 /// [`cq_contained_small_model_with`]).
 pub fn ucq_contained_small_model_with(q1: &Ucq, q2: &Ucq, leq: PolyLeqFn) -> bool {
-    if q1.is_empty() {
-        return true;
-    }
-    let description = complete_description_ucq(q1);
-    for ccq in description.disjuncts() {
-        let canonical = CanonicalInstance::of_ccq(ccq);
-        let m1 = eval_ucq_all_outputs_rows(q1, canonical.instance());
-        let m2 = eval_ucq_all_outputs_rows(q2, canonical.instance());
-        if !supports_ordered(&m1, &m2, leq) {
-            return false;
-        }
-    }
-    true
+    q1.is_empty() || canonical_instances_ordered(&complete_description_ucq(q1), q1, q2, leq)
 }
 
 #[cfg(test)]

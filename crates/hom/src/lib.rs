@@ -59,7 +59,7 @@ mod semantic_soundness_tests {
     //! workloads; the systematic verification lives in `annot-core`.
 
     use super::*;
-    use annot_query::eval::eval_boolean_cq;
+    use annot_query::eval::eval;
     use annot_query::generator::{GeneratorConfig, QueryGenerator, QueryShape};
     use annot_query::Instance;
     use annot_semiring::{Bool, Natural, Semiring};
@@ -85,8 +85,8 @@ mod semantic_soundness_tests {
                     ..Default::default()
                 });
                 let instance: Instance<Bool> = gen2.instance(3, 6);
-                let v1 = eval_boolean_cq(&q1, &instance);
-                let v2 = eval_boolean_cq(&q2, &instance);
+                let v1 = eval(&q1, &instance, &vec![]);
+                let v2 = eval(&q2, &instance, &vec![]);
                 assert!(
                     v1.leq(&v2),
                     "hom exists but containment fails\nQ1 = {}\nQ2 = {}",
@@ -118,8 +118,8 @@ mod semantic_soundness_tests {
                     ..Default::default()
                 });
                 let instance: Instance<Natural> = gen2.instance(3, 6);
-                let v1 = eval_boolean_cq(&q1, &instance);
-                let v2 = eval_boolean_cq(&q2, &instance);
+                let v1 = eval(&q1, &instance, &vec![]);
+                let v2 = eval(&q2, &instance, &vec![]);
                 assert!(
                     v1.leq(&v2),
                     "surjective hom exists but N-containment fails\nQ1 = {}\nQ2 = {}",

@@ -114,7 +114,7 @@ impl CanonicalInstance {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::eval::{eval_boolean_cq, eval_cq};
+    use crate::eval::eval;
     use crate::schema::Schema;
     use annot_polynomial::Polynomial;
 
@@ -171,9 +171,9 @@ mod tests {
         let canon = CanonicalInstance::of_cq(&q1);
         let x1 = Polynomial::var(Var(0));
         let x2 = Polynomial::var(Var(1));
-        let p1 = eval_boolean_cq(&q1, canon.instance());
+        let p1 = eval(&q1, canon.instance(), &vec![]);
         assert_eq!(p1.polynomial(), &x1.plus(&x2).pow(2));
-        let p2 = eval_boolean_cq(&q2, canon.instance());
+        let p2 = eval(&q2, canon.instance(), &vec![]);
         assert_eq!(p2.polynomial(), &x1.pow(2).plus(&x2.pow(2)));
     }
 
@@ -188,7 +188,7 @@ mod tests {
         assert_eq!(t, vec![DbValue::Fresh(0)]);
         // Q(x) :- R(x, y) over its own canonical instance at x = "x": the
         // single atom matches itself, yielding its own provenance variable.
-        let val = eval_cq(&q, canon.instance(), &t);
+        let val = eval(&q, canon.instance(), &t);
         assert_eq!(val.polynomial(), &Polynomial::var(Var(0)));
         assert_eq!(canon.domain().len(), 2);
         assert_eq!(canon.atom_var(0), Var(0));

@@ -17,21 +17,26 @@
 //! for UCQs the evaluations of the members are summed (the empty UCQ
 //! evaluates to `0`).
 //!
-//! # Interned vs resolved results
+//! # One semantics for every query shape
+//!
+//! Every shape is a union of CCQs: a CQ is a CCQ without inequalities, and
+//! a single (C)CQ is a one-member union.  The [`Query`] trait lifts each of
+//! [`Cq`], [`Ccq`], [`Ucq`] and [`Ducq`] into that form as a list of
+//! borrowed [`Disjunct`]s, and the evaluators are written once against it.
 //!
 //! All joins run over interned [`ValueId`] rows: variables bind `u32` ids
-//! and the unification loop never touches a [`DbValue`].  Each evaluator
-//! therefore comes in two flavours: a `*_rows` variant returning maps keyed
-//! by [`IdTuple`] (ids of the instance's [`Domain`] — the hot-path form the
-//! brute-force oracle and the small-model procedure consume), and the
-//! original [`Tuple`]-keyed form, a thin resolving wrapper kept as the
-//! public boundary.
+//! and the unification loop never touches a
+//! [`DbValue`](crate::schema::DbValue).  [`eval_all_outputs_rows`] returns
+//! the map `t ↦ Qᴵ(t)` keyed by [`IdTuple`] (ids of the instance's
+//! [`Domain`] — the form the brute-force oracle and the small-model
+//! procedure consume); [`eval_all_outputs`] resolves it to [`Tuple`] keys,
+//! and [`eval`] reads a single tuple off it.
 //!
 //! # One-shot vs incremental evaluation
 //!
-//! The `eval_*` functions above are *one-shot*: they recompute the full sum
-//! from the instance each time.  When a caller evaluates the same query over
-//! a **sequence** of instances that differ by one fact at a time — the shape
+//! The functions above are *one-shot*: they recompute the full sum from
+//! the instance each time.  When a caller evaluates the same query over a
+//! **sequence** of instances that differ by one fact at a time — the shape
 //! of the brute-force oracle's support enumeration — use [`EvalState`]
 //! instead: it maintains the all-outputs map incrementally under
 //! [`EvalState::push_fact`] / [`EvalState::pop_fact`], paying only for the
@@ -46,56 +51,156 @@ use crate::ucq::{Ducq, Ucq};
 use annot_semiring::Semiring;
 use std::collections::BTreeMap;
 
-/// Evaluates a CQ on an instance for an output tuple `t`.
-///
-/// Panics if `t` has a different length than the query's free-variable list.
-pub fn eval_cq<K: Semiring>(query: &Cq, instance: &Instance<K>, t: &Tuple) -> K {
-    eval_with_inequalities(query, None, instance, t)
+/// One disjunct of a query lifted to a union of CCQs: a CQ plus, optionally,
+/// the CCQ whose inequalities restrict its valuations.
+#[derive(Clone, Copy, Debug)]
+pub struct Disjunct<'q> {
+    /// The disjunct's head and atoms.
+    pub cq: &'q Cq,
+    /// The inequalities restricting the valuations (`None` for a plain CQ).
+    pub inequalities: Option<&'q Ccq>,
 }
 
-/// Evaluates a CCQ (CQ with inequalities) on an instance for `t`.
-pub fn eval_ccq<K: Semiring>(query: &Ccq, instance: &Instance<K>, t: &Tuple) -> K {
-    eval_with_inequalities(query.cq(), Some(query), instance, t)
-}
-
-/// Evaluates a UCQ on an instance for `t` (the semiring sum of its members).
-pub fn eval_ucq<K: Semiring>(query: &Ucq, instance: &Instance<K>, t: &Tuple) -> K {
-    let mut total = K::zero();
-    for cq in query.disjuncts() {
-        total = total.add(&eval_cq(cq, instance, t));
+impl<'q> From<&'q Cq> for Disjunct<'q> {
+    fn from(cq: &'q Cq) -> Self {
+        Disjunct {
+            cq,
+            inequalities: None,
+        }
     }
-    total
 }
 
-/// Evaluates a union of CCQs on an instance for `t`.
-pub fn eval_ducq<K: Semiring>(query: &Ducq, instance: &Instance<K>, t: &Tuple) -> K {
-    let mut total = K::zero();
-    for ccq in query.disjuncts() {
-        total = total.add(&eval_ccq(ccq, instance, t));
+impl<'q> From<&'q Ccq> for Disjunct<'q> {
+    fn from(ccq: &'q Ccq) -> Self {
+        Disjunct {
+            cq: ccq.cq(),
+            inequalities: Some(ccq),
+        }
     }
-    total
 }
 
-/// Evaluates a Boolean CQ (no free variables) on an instance.
-pub fn eval_boolean_cq<K: Semiring>(query: &Cq, instance: &Instance<K>) -> K {
-    eval_cq(query, instance, &Vec::new())
+impl Disjunct<'_> {
+    /// Whether a complete assignment satisfies the inequalities (`true`
+    /// when there are none).
+    fn admits(&self, assignment: &[Option<ValueId>]) -> bool {
+        self.inequalities.map_or(true, |ccq| {
+            ccq.inequalities()
+                .iter()
+                .all(|&(a, b)| assignment[a.0 as usize] != assignment[b.0 as usize])
+        })
+    }
+
+    /// The output row a complete assignment produces: the values of the
+    /// head variables.
+    fn output_row(&self, assignment: &[Option<ValueId>]) -> IdTuple {
+        self.cq
+            .free_vars()
+            .iter()
+            .map(|v| {
+                assignment[v.0 as usize]
+                    // invariant: safety was validated when the query was built
+                    .expect("safe query: every free variable occurs in an atom")
+            })
+            .collect()
+    }
 }
 
-/// Evaluates a Boolean UCQ on an instance.
-pub fn eval_boolean_ucq<K: Semiring>(query: &Ucq, instance: &Instance<K>) -> K {
-    eval_ucq(query, instance, &Vec::new())
+/// A query shape evaluable as a union of CCQs (Sec. 2, 4.6).  All disjuncts
+/// have the same number of free variables: the union constructors assert
+/// it.
+pub trait Query {
+    /// The query's disjuncts in member order: one for a CQ or CCQ, one per
+    /// member for a union (none for the empty union).
+    fn lift(&self) -> Vec<Disjunct<'_>>;
 }
 
-/// All output tuples with a non-zero annotation, together with their
-/// annotations (in lexicographic tuple order).  Computed in a single
-/// assignment-enumeration pass via [`eval_cq_all_outputs`].
-pub fn answers<K: Semiring>(query: &Cq, instance: &Instance<K>) -> Vec<(Tuple, K)> {
-    eval_cq_all_outputs(query, instance).into_iter().collect()
+impl Query for Cq {
+    fn lift(&self) -> Vec<Disjunct<'_>> {
+        vec![self.into()]
+    }
 }
 
-/// Resolves an interned all-outputs map back to [`DbValue`] tuples.
+impl Query for Ccq {
+    fn lift(&self) -> Vec<Disjunct<'_>> {
+        vec![self.into()]
+    }
+}
+
+impl Query for Ucq {
+    fn lift(&self) -> Vec<Disjunct<'_>> {
+        self.disjuncts().iter().map(Disjunct::from).collect()
+    }
+}
+
+impl Query for Ducq {
+    fn lift(&self) -> Vec<Disjunct<'_>> {
+        self.disjuncts().iter().map(Disjunct::from).collect()
+    }
+}
+
+/// Evaluates a query on an instance for the output tuple `t` (a Boolean
+/// query passes the empty tuple), reading `Qᴵ(t)` off the all-outputs map.
 ///
-/// [`DbValue`]: crate::schema::DbValue
+/// Panics if `t` has a different length than the query head.
+pub fn eval<K: Semiring, Q: Query + ?Sized>(query: &Q, instance: &Instance<K>, t: &Tuple) -> K {
+    if let Some(first) = query.lift().first() {
+        assert_eq!(
+            t.len(),
+            first.cq.free_vars().len(),
+            "output tuple arity does not match the query head"
+        );
+    }
+    // A value the instance's domain has never interned cannot appear in any
+    // supported tuple, so such a `t` evaluates to `0` without interning it.
+    match instance.domain().lookup_tuple(t) {
+        Some(row) => eval_all_outputs_rows(query, instance)
+            .remove(&row)
+            .unwrap_or_else(K::zero),
+        None => K::zero(),
+    }
+}
+
+/// Evaluates a query on an instance for *every* output tuple at once: per
+/// disjunct, one backtracking join with the free variables left unbound,
+/// reading the output tuple off each satisfying assignment.  Returns the
+/// map `t ↦ Qᴵ(t)` restricted to its support (absent tuples evaluate to
+/// `0`), keyed by interned rows of the instance's domain.
+pub fn eval_all_outputs_rows<K: Semiring, Q: Query + ?Sized>(
+    query: &Q,
+    instance: &Instance<K>,
+) -> BTreeMap<IdTuple, K> {
+    let mut map: BTreeMap<IdTuple, K> = BTreeMap::new();
+    let mut touched: Vec<QVar> = Vec::new();
+    for disjunct in query.lift() {
+        let mut assignment: Vec<Option<ValueId>> = vec![None; disjunct.cq.num_vars()];
+        eval_rec(
+            disjunct,
+            instance,
+            0,
+            &mut assignment,
+            &mut touched,
+            &K::one(),
+            &mut |assignment, product| {
+                add_into(&mut map, disjunct.output_row(assignment), product);
+            },
+        );
+    }
+    // Positive semirings cannot sum non-zeros to zero, but keep the support
+    // contract (`t ∈ map ⇔ Qᴵ(t) ≠ 0`) robust for exotic semirings.
+    map.retain(|_, value| !value.is_zero());
+    map
+}
+
+/// The [`Tuple`]-keyed form of [`eval_all_outputs_rows`].
+pub fn eval_all_outputs<K: Semiring, Q: Query + ?Sized>(
+    query: &Q,
+    instance: &Instance<K>,
+) -> BTreeMap<Tuple, K> {
+    resolve_outputs(instance.domain(), &eval_all_outputs_rows(query, instance))
+}
+
+/// Resolves an interned all-outputs map back to
+/// [`DbValue`](crate::schema::DbValue) tuples.
 pub fn resolve_outputs<K: Semiring>(
     domain: &Domain,
     outputs: &BTreeMap<IdTuple, K>,
@@ -106,207 +211,22 @@ pub fn resolve_outputs<K: Semiring>(
         .collect()
 }
 
-/// Evaluates a CQ on an instance for *every* output tuple at once: one
-/// backtracking join with the free variables left unbound, reading the output
-/// tuple off each satisfying assignment.  Returns the map `t ↦ Qᴵ(t)`
-/// restricted to its support (absent tuples evaluate to `0`), keyed by
-/// interned rows of the instance's domain.
-///
-/// This is the bulk counterpart of [`eval_cq`]: where a caller would loop
-/// over `|adom|^arity` candidate tuples and re-run the join for each, this
-/// pays for the join exactly once.
-pub fn eval_cq_all_outputs_rows<K: Semiring>(
-    query: &Cq,
-    instance: &Instance<K>,
-) -> BTreeMap<IdTuple, K> {
-    all_outputs_with_inequalities(query, None, instance)
-}
-
-/// The [`Tuple`]-keyed form of [`eval_cq_all_outputs_rows`].
-pub fn eval_cq_all_outputs<K: Semiring>(query: &Cq, instance: &Instance<K>) -> BTreeMap<Tuple, K> {
-    resolve_outputs(
-        instance.domain(),
-        &eval_cq_all_outputs_rows(query, instance),
-    )
-}
-
-/// The all-outputs evaluation of a CCQ (CQ with inequalities), keyed by
-/// interned rows.
-pub fn eval_ccq_all_outputs_rows<K: Semiring>(
-    query: &Ccq,
-    instance: &Instance<K>,
-) -> BTreeMap<IdTuple, K> {
-    all_outputs_with_inequalities(query.cq(), Some(query), instance)
-}
-
-/// The [`Tuple`]-keyed form of [`eval_ccq_all_outputs_rows`].
-pub fn eval_ccq_all_outputs<K: Semiring>(
-    query: &Ccq,
-    instance: &Instance<K>,
-) -> BTreeMap<Tuple, K> {
-    resolve_outputs(
-        instance.domain(),
-        &eval_ccq_all_outputs_rows(query, instance),
-    )
-}
-
-/// The all-outputs evaluation of a UCQ: the per-disjunct maps are computed
-/// independently (each disjunct's assignment enumeration runs once) and
-/// summed pointwise.  Keyed by interned rows.
-pub fn eval_ucq_all_outputs_rows<K: Semiring>(
-    query: &Ucq,
-    instance: &Instance<K>,
-) -> BTreeMap<IdTuple, K> {
-    let mut total: BTreeMap<IdTuple, K> = BTreeMap::new();
-    for cq in query.disjuncts() {
-        for (row, value) in eval_cq_all_outputs_rows(cq, instance) {
-            add_into(&mut total, row, &value);
-        }
-    }
-    total.retain(|_, value| !value.is_zero());
-    total
-}
-
-/// The [`Tuple`]-keyed form of [`eval_ucq_all_outputs_rows`].
-pub fn eval_ucq_all_outputs<K: Semiring>(
-    query: &Ucq,
-    instance: &Instance<K>,
-) -> BTreeMap<Tuple, K> {
-    resolve_outputs(
-        instance.domain(),
-        &eval_ucq_all_outputs_rows(query, instance),
-    )
-}
-
-/// The all-outputs evaluation of a union of CCQs: per-disjunct maps summed
-/// pointwise (the `Ducq` counterpart of [`eval_ucq_all_outputs_rows`]).
-pub fn eval_ducq_all_outputs_rows<K: Semiring>(
-    query: &Ducq,
-    instance: &Instance<K>,
-) -> BTreeMap<IdTuple, K> {
-    let mut total: BTreeMap<IdTuple, K> = BTreeMap::new();
-    for ccq in query.disjuncts() {
-        for (row, value) in eval_ccq_all_outputs_rows(ccq, instance) {
-            add_into(&mut total, row, &value);
-        }
-    }
-    total.retain(|_, value| !value.is_zero());
-    total
-}
-
-/// The [`Tuple`]-keyed form of [`eval_ducq_all_outputs_rows`].
-pub fn eval_ducq_all_outputs<K: Semiring>(
-    query: &Ducq,
-    instance: &Instance<K>,
-) -> BTreeMap<Tuple, K> {
-    resolve_outputs(
-        instance.domain(),
-        &eval_ducq_all_outputs_rows(query, instance),
-    )
-}
-
 /// Adds `value` to the entry for `row` (absent entries hold `0`).
 fn add_into<K: Semiring>(map: &mut BTreeMap<IdTuple, K>, row: IdTuple, value: &K) {
     let entry = map.entry(row).or_insert_with(K::zero);
     *entry = entry.add(value);
 }
 
-fn all_outputs_with_inequalities<K: Semiring>(
-    query: &Cq,
-    inequalities: Option<&Ccq>,
-    instance: &Instance<K>,
-) -> BTreeMap<IdTuple, K> {
-    let mut assignment: Vec<Option<ValueId>> = vec![None; query.num_vars()];
-    let mut touched: Vec<QVar> = Vec::new();
-    let mut map: BTreeMap<IdTuple, K> = BTreeMap::new();
-    eval_rec(
-        query,
-        inequalities,
-        instance,
-        0,
-        &mut assignment,
-        &mut touched,
-        &K::one(),
-        &mut |assignment, product| {
-            let row: IdTuple = query
-                .free_vars()
-                .iter()
-                .map(|v| {
-                    assignment[v.0 as usize]
-                        // invariant: safety was validated when the query was built
-                        .expect("safe query: every free variable occurs in an atom")
-                })
-                .collect();
-            add_into(&mut map, row, product);
-        },
-    );
-    // Positive semirings cannot sum non-zeros to zero, but keep the support
-    // contract (`t ∈ map ⇔ Qᴵ(t) ≠ 0`) robust for exotic semirings.
-    map.retain(|_, value| !value.is_zero());
-    map
-}
-
-/// Core evaluation: backtracking join over the atoms of the query.
-fn eval_with_inequalities<K: Semiring>(
-    query: &Cq,
-    inequalities: Option<&Ccq>,
-    instance: &Instance<K>,
-    t: &Tuple,
-) -> K {
-    assert_eq!(
-        t.len(),
-        query.free_vars().len(),
-        "output tuple arity does not match the query head"
-    );
-    // A value the instance's domain has never interned cannot appear in any
-    // supported tuple, and safety puts every free variable in an atom — so
-    // such a `t` evaluates to `0` without running the join.
-    let ids = match instance.domain().lookup_tuple(t) {
-        Some(ids) => ids,
-        None => return K::zero(),
-    };
-    // Initial partial assignment: free variables bound to `t`.
-    let mut assignment: Vec<Option<ValueId>> = vec![None; query.num_vars()];
-    for (v, value) in query.free_vars().iter().zip(&ids) {
-        match assignment[v.0 as usize] {
-            None => assignment[v.0 as usize] = Some(*value),
-            Some(existing) => {
-                // A repeated free variable must receive equal values.
-                if existing != *value {
-                    return K::zero();
-                }
-            }
-        }
-    }
-    let mut total = K::zero();
-    let mut touched: Vec<QVar> = Vec::new();
-    eval_rec(
-        query,
-        inequalities,
-        instance,
-        0,
-        &mut assignment,
-        &mut touched,
-        &K::one(),
-        &mut |_, product| {
-            total = total.add(product);
-        },
-    );
-    total
-}
-
-/// The backtracking join shared by the per-tuple and all-outputs
-/// evaluations: enumerates every satisfying assignment (restricted by the
-/// inequalities, with `0`-product branches pruned) and hands the completed
-/// assignment plus its annotation product to `on_leaf`.
+/// The one-shot backtracking join: enumerates every satisfying assignment
+/// of the disjunct (restricted by its inequalities, with `0`-product
+/// branches pruned) and hands the completed assignment plus its annotation
+/// product to `on_leaf`.
 ///
 /// `touched` is the shared binding stack of the whole join: each candidate
 /// row records its fresh bindings above a mark and truncates back on
 /// backtrack (no per-candidate allocation).
-#[allow(clippy::too_many_arguments)]
 fn eval_rec<K: Semiring>(
-    query: &Cq,
-    inequalities: Option<&Ccq>,
+    disjunct: Disjunct<'_>,
     instance: &Instance<K>,
     atom_index: usize,
     assignment: &mut Vec<Option<ValueId>>,
@@ -317,15 +237,14 @@ fn eval_rec<K: Semiring>(
     if partial_product.is_zero() {
         return;
     }
-    if atom_index == query.num_atoms() {
+    if atom_index == disjunct.cq.num_atoms() {
         // All variables are bound (safety).  Check the inequalities.
-        if !inequalities_hold(inequalities, assignment) {
-            return;
+        if disjunct.admits(assignment) {
+            on_leaf(assignment, partial_product);
         }
-        on_leaf(assignment, partial_product);
         return;
     }
-    let atom = &query.atoms()[atom_index];
+    let atom = &disjunct.cq.atoms()[atom_index];
     // Iterate over the supported rows of the atom's relation and try to
     // unify them with the current partial assignment.
     for (row, annotation) in instance.support_rows(atom.relation) {
@@ -333,8 +252,7 @@ fn eval_rec<K: Semiring>(
         if unify_atom(&atom.args, row, assignment, touched) {
             let product = partial_product.mul(annotation);
             eval_rec(
-                query,
-                inequalities,
+                disjunct,
                 instance,
                 atom_index + 1,
                 assignment,
@@ -375,26 +293,9 @@ fn unify_atom(
     true
 }
 
-/// Whether a complete assignment satisfies the inequalities of a CCQ (`true`
-/// when there are none).
-fn inequalities_hold(inequalities: Option<&Ccq>, assignment: &[Option<ValueId>]) -> bool {
-    inequalities.map_or(true, |ccq| {
-        ccq.inequalities()
-            .iter()
-            .all(|&(a, b)| assignment[a.0 as usize] != assignment[b.0 as usize])
-    })
-}
-
 // ---------------------------------------------------------------------------
 // Incremental evaluation
 // ---------------------------------------------------------------------------
-
-/// One query disjunct tracked by an [`EvalState`]: a CQ plus (optionally) the
-/// inequalities restricting its valuations.
-struct TrackedDisjunct<'q> {
-    query: &'q Cq,
-    inequalities: Option<&'q Ccq>,
-}
 
 /// The undo record of one [`EvalState::push_fact`]: a `(RelId, u32 len)`
 /// frame — the relation whose fact table the push touched and that table's
@@ -494,10 +395,9 @@ impl<K: Semiring> FactStore<K> {
     }
 }
 
-/// Incremental all-outputs evaluation of a union of (C)CQs over a *stack* of
-/// facts.
+/// Incremental all-outputs evaluation of a [`Query`] over a *stack* of facts.
 ///
-/// Where [`eval_ucq_all_outputs`] recomputes the full map `t ↦ Qᴵ(t)` from
+/// Where [`eval_all_outputs`] recomputes the full map `t ↦ Qᴵ(t)` from
 /// scratch per instance, an `EvalState` maintains that map under
 /// [`push_fact`](EvalState::push_fact) / [`pop_fact`](EvalState::pop_fact):
 /// pushing a fact runs, per disjunct, only the *delta* joins — the satisfying
@@ -525,7 +425,7 @@ impl<K: Semiring> FactStore<K> {
 /// `t ∈ outputs ⇔ Qᴵ(t) ≠ 0`.
 ///
 /// ```
-/// use annot_query::eval::{eval_cq_all_outputs, EvalState};
+/// use annot_query::eval::{eval_all_outputs, EvalState};
 /// use annot_query::{Cq, Instance, Schema};
 /// use annot_semiring::Natural;
 ///
@@ -536,21 +436,21 @@ impl<K: Semiring> FactStore<K> {
 ///     .atom("R", &["y", "z"])
 ///     .build();
 ///
-/// let mut state: EvalState<Natural> = EvalState::for_cq(&q);
+/// let mut state: EvalState<Natural> = EvalState::new(&q);
 /// state.push_fact(rel, vec![1.into(), 2.into()], Natural(2));
 /// state.push_fact(rel, vec![2.into(), 3.into()], Natural(3));
 ///
 /// let mut instance: Instance<Natural> = Instance::new(schema.clone());
 /// instance.insert(rel, vec![1.into(), 2.into()], Natural(2));
 /// instance.insert(rel, vec![2.into(), 3.into()], Natural(3));
-/// assert_eq!(state.outputs(), eval_cq_all_outputs(&q, &instance));
+/// assert_eq!(state.outputs(), eval_all_outputs(&q, &instance));
 ///
 /// state.pop_fact();
 /// state.pop_fact();
 /// assert!(state.outputs().is_empty());
 /// ```
 pub struct EvalState<'q, K: Semiring> {
-    disjuncts: Vec<TrackedDisjunct<'q>>,
+    disjuncts: Vec<Disjunct<'q>>,
     /// The interner tuples pushed through the `DbValue` API go through, and
     /// the resolver for [`EvalState::outputs`].
     domain: Domain,
@@ -564,10 +464,12 @@ pub struct EvalState<'q, K: Semiring> {
 }
 
 impl<'q, K: Semiring> EvalState<'q, K> {
-    fn new(disjuncts: Vec<TrackedDisjunct<'q>>) -> Self {
+    /// A state evaluating `query` over the empty fact stack.
+    pub fn new<Q: Query + ?Sized>(query: &'q Q) -> Self {
+        let disjuncts = query.lift();
         let domain = disjuncts
             .first()
-            .map(|d| d.query.schema().domain().clone())
+            .map(|d| d.cq.schema().domain().clone())
             .unwrap_or_default();
         let mut outputs = BTreeMap::new();
         // Atomless disjuncts have one satisfying assignment (the empty one)
@@ -575,7 +477,7 @@ impl<'q, K: Semiring> EvalState<'q, K> {
         // all other disjuncts evaluate to 0 with no facts.  Safety makes an
         // atomless disjunct variable-free, so its output tuple is ().
         for d in &disjuncts {
-            if d.query.num_atoms() == 0 {
+            if d.cq.num_atoms() == 0 {
                 add_into(&mut outputs, Vec::new(), &K::one());
             }
         }
@@ -587,50 +489,6 @@ impl<'q, K: Semiring> EvalState<'q, K> {
             outputs,
             frames: Vec::new(),
         }
-    }
-
-    /// A state evaluating a single CQ.
-    pub fn for_cq(query: &'q Cq) -> Self {
-        EvalState::new(vec![TrackedDisjunct {
-            query,
-            inequalities: None,
-        }])
-    }
-
-    /// A state evaluating a single CCQ (CQ with inequalities).
-    pub fn for_ccq(query: &'q Ccq) -> Self {
-        EvalState::new(vec![TrackedDisjunct {
-            query: query.cq(),
-            inequalities: Some(query),
-        }])
-    }
-
-    /// A state evaluating a UCQ (outputs are summed over the disjuncts).
-    pub fn for_ucq(query: &'q Ucq) -> Self {
-        EvalState::new(
-            query
-                .disjuncts()
-                .iter()
-                .map(|cq| TrackedDisjunct {
-                    query: cq,
-                    inequalities: None,
-                })
-                .collect(),
-        )
-    }
-
-    /// A state evaluating a union of CCQs.
-    pub fn for_ducq(query: &'q Ducq) -> Self {
-        EvalState::new(
-            query
-                .disjuncts()
-                .iter()
-                .map(|ccq| TrackedDisjunct {
-                    query: ccq.cq(),
-                    inequalities: Some(ccq),
-                })
-                .collect(),
-        )
     }
 
     /// The interner the state's rows live in (the domain of the first
@@ -687,12 +545,6 @@ impl<'q, K: Semiring> EvalState<'q, K> {
             .flat_map(|frame| frame.changed.iter().map(|(row, _)| row))
     }
 
-    /// The resolved form of [`EvalState::last_changed_rows`].
-    pub fn last_changed(&self) -> impl Iterator<Item = Tuple> + '_ {
-        self.last_changed_rows()
-            .map(|row| self.domain.resolve_tuple(row))
-    }
-
     /// Pushes a fact given as a [`Tuple`]: interns it through the state's
     /// domain and delegates to [`EvalState::push_fact_row`].  A `0`
     /// annotation is a no-op frame and does not intern (zero pushes must
@@ -740,10 +592,9 @@ impl<'q, K: Semiring> EvalState<'q, K> {
         if !annotation.is_zero() {
             let outputs = &mut self.outputs;
             let changed = &mut frame.changed;
-            for d in &self.disjuncts {
+            for &d in &self.disjuncts {
                 delta_join(
-                    d.query,
-                    d.inequalities,
+                    d,
                     &self.facts,
                     (rel, row, &annotation),
                     &mut |output, product| {
@@ -805,7 +656,7 @@ impl<'q, K: Semiring> EvalState<'q, K> {
     }
 }
 
-/// Enumerates the satisfying assignments of `query` that use the new fact
+/// Enumerates the satisfying assignments of `disjunct` that use the new fact
 /// for at least one atom, over the instance `facts ∪ {new fact}`, calling
 /// `on_leaf(output_row, product)` per assignment.
 ///
@@ -815,23 +666,20 @@ impl<'q, K: Semiring> EvalState<'q, K> {
 /// pinned to the new fact, and atoms after it range over old facts plus the
 /// new one.
 fn delta_join<K: Semiring>(
-    query: &Cq,
-    inequalities: Option<&Ccq>,
+    disjunct: Disjunct<'_>,
     facts: &FactStore<K>,
     new_fact: (RelId, &[ValueId], &K),
     on_leaf: &mut dyn FnMut(IdTuple, &K),
 ) {
     let (new_rel, new_row, _) = new_fact;
-    let mut assignment: Vec<Option<ValueId>> = vec![None; query.num_vars()];
+    let mut assignment: Vec<Option<ValueId>> = vec![None; disjunct.cq.num_vars()];
     let mut touched: Vec<QVar> = Vec::new();
-    for designated in 0..query.num_atoms() {
-        let atom = &query.atoms()[designated];
+    for (designated, atom) in disjunct.cq.atoms().iter().enumerate() {
         if atom.relation != new_rel || atom.args.len() != new_row.len() {
             continue;
         }
         let join = DeltaJoin {
-            query,
-            inequalities,
+            disjunct,
             facts,
             new_fact,
             designated,
@@ -841,26 +689,14 @@ fn delta_join<K: Semiring>(
             &mut assignment,
             &mut touched,
             &K::one(),
-            &mut |assignment, product| {
-                let output: IdTuple = query
-                    .free_vars()
-                    .iter()
-                    .map(|v| {
-                        assignment[v.0 as usize]
-                            // invariant: safety was validated when the query was built
-                            .expect("safe query: every free variable occurs in an atom")
-                    })
-                    .collect();
-                on_leaf(output, product);
-            },
+            &mut |assignment, product| on_leaf(disjunct.output_row(assignment), product),
         );
     }
 }
 
 /// One delta join of [`delta_join`], fixed to a designated atom.
 struct DeltaJoin<'a, K: Semiring> {
-    query: &'a Cq,
-    inequalities: Option<&'a Ccq>,
+    disjunct: Disjunct<'a>,
     facts: &'a FactStore<K>,
     new_fact: (RelId, &'a [ValueId], &'a K),
     designated: usize,
@@ -878,13 +714,13 @@ impl<K: Semiring> DeltaJoin<'_, K> {
         if partial_product.is_zero() {
             return;
         }
-        if atom_index == self.query.num_atoms() {
-            if inequalities_hold(self.inequalities, assignment) {
+        if atom_index == self.disjunct.cq.num_atoms() {
+            if self.disjunct.admits(assignment) {
                 on_leaf(assignment, partial_product);
             }
             return;
         }
-        let atom = &self.query.atoms()[atom_index];
+        let atom = &self.disjunct.cq.atoms()[atom_index];
         let (new_rel, new_row, new_ann) = self.new_fact;
         // Candidate facts for this atom: the old facts of its relation,
         // streamed contiguously out of the dense per-relation arena by the
@@ -947,7 +783,7 @@ mod tests {
             .atom("R", &["x", "y"])
             .atom("R", &["y", "z"])
             .build();
-        assert_eq!(eval_boolean_cq(&q, &path_instance()), Natural(6));
+        assert_eq!(eval(&q, &path_instance(), &vec![]), Natural(6));
     }
 
     #[test]
@@ -958,16 +794,15 @@ mod tests {
             .atom("R", &["x", "y"])
             .build();
         let i = path_instance();
-        assert_eq!(eval_cq(&q, &i, &vec!["a".into()]), Natural(2));
-        assert_eq!(eval_cq(&q, &i, &vec!["b".into()]), Natural(3));
-        assert_eq!(eval_cq(&q, &i, &vec!["c".into()]), Natural(0));
+        assert_eq!(eval(&q, &i, &vec!["a".into()]), Natural(2));
+        assert_eq!(eval(&q, &i, &vec!["b".into()]), Natural(3));
+        assert_eq!(eval(&q, &i, &vec!["c".into()]), Natural(0));
         // A value the instance has never seen evaluates to 0 without
         // interning it into the domain.
         let before = i.domain().len();
-        assert_eq!(eval_cq(&q, &i, &vec!["unseen".into()]), Natural(0));
+        assert_eq!(eval(&q, &i, &vec!["unseen".into()]), Natural(0));
         assert_eq!(i.domain().len(), before);
-        let ans = answers(&q, &i);
-        assert_eq!(ans.len(), 2);
+        assert_eq!(eval_all_outputs(&q, &i).len(), 2);
     }
 
     #[test]
@@ -979,7 +814,7 @@ mod tests {
             .atom("S", &["v"])
             .atom("S", &["v"])
             .build();
-        assert_eq!(eval_boolean_cq(&q, &i), Natural(9));
+        assert_eq!(eval(&q, &i, &vec![]), Natural(9));
     }
 
     #[test]
@@ -990,7 +825,7 @@ mod tests {
             .atom("R", &["x", "y"])
             .atom("R", &["z", "w"])
             .build();
-        assert_eq!(eval_boolean_cq(&q, &path_instance()), Natural(25));
+        assert_eq!(eval(&q, &path_instance(), &vec![]), Natural(25));
     }
 
     #[test]
@@ -1003,12 +838,12 @@ mod tests {
             .atom("R", &["x", "y"])
             .atom("R", &["y", "z"])
             .build();
-        assert_eq!(eval_boolean_cq(&q, &i), Tropical::Finite(5));
+        assert_eq!(eval(&q, &i, &vec![]), Tropical::Finite(5));
         let q2 = Cq::builder(&schema())
             .atom("R", &["x", "y"])
             .atom("R", &["z", "w"])
             .build();
-        assert_eq!(eval_boolean_cq(&q2, &i), Tropical::Finite(4)); // 2+2
+        assert_eq!(eval(&q2, &i, &vec![]), Tropical::Finite(4)); // 2+2
     }
 
     #[test]
@@ -1020,7 +855,7 @@ mod tests {
             .atom("R", &["z", "w"])
             .inequality("x", "z")
             .build_ccq();
-        assert_eq!(eval_ccq(&q, &path_instance(), &vec![]), Natural(12));
+        assert_eq!(eval(&q, &path_instance(), &vec![]), Natural(12));
     }
 
     #[test]
@@ -1029,9 +864,9 @@ mod tests {
         let q2 = Cq::builder(&schema()).atom("R", &["x", "y"]).build();
         let ucq = Ucq::new([q1, q2]);
         // S contributes 1, R contributes 2 + 3.
-        assert_eq!(eval_boolean_ucq(&ucq, &path_instance()), Natural(6));
+        assert_eq!(eval(&ucq, &path_instance(), &vec![]), Natural(6));
         assert_eq!(
-            eval_boolean_ucq(&Ucq::empty(), &path_instance()),
+            eval(&Ucq::empty(), &path_instance(), &vec![]),
             Natural::zero()
         );
     }
@@ -1045,8 +880,8 @@ mod tests {
             .free(&["x", "x"])
             .atom("R", &["x", "x"])
             .build();
-        assert_eq!(eval_cq(&q, &i, &vec!["a".into(), "a".into()]), Bool(true));
-        assert_eq!(eval_cq(&q, &i, &vec!["a".into(), "b".into()]), Bool(false));
+        assert_eq!(eval(&q, &i, &vec!["a".into(), "a".into()]), Bool(true));
+        assert_eq!(eval(&q, &i, &vec!["a".into(), "b".into()]), Bool(false));
     }
 
     #[test]
@@ -1060,7 +895,7 @@ mod tests {
             .atom("R", &["x", "y"])
             .atom("R", &["y", "z"])
             .build();
-        let result = eval_boolean_cq(&q, &i);
+        let result = eval(&q, &i, &vec![]);
         let expected = Polynomial::var(Var(0)).times(&Polynomial::var(Var(1)));
         assert_eq!(result.polynomial(), &expected);
     }
@@ -1072,14 +907,14 @@ mod tests {
             .atom("R", &["x", "y"])
             .build();
         let i = path_instance();
-        let rows = eval_cq_all_outputs_rows(&q, &i);
-        let resolved = eval_cq_all_outputs(&q, &i);
+        let rows = eval_all_outputs_rows(&q, &i);
+        let resolved = eval_all_outputs(&q, &i);
         assert_eq!(rows.len(), resolved.len());
         assert_eq!(resolve_outputs(i.domain(), &rows), resolved);
         for (row, k) in &rows {
             let tuple = i.domain().resolve_tuple(row);
             assert_eq!(resolved.get(&tuple), Some(k));
-            assert_eq!(&eval_cq(&q, &i, &tuple), k);
+            assert_eq!(&eval(&q, &i, &tuple), k);
         }
     }
 
@@ -1091,18 +926,16 @@ mod tests {
             .atom("S", &["x"])
             .build();
         let i: Instance<Bool> = Instance::new(schema());
-        let _ = eval_cq(&q, &i, &vec![]);
+        let _ = eval(&q, &i, &vec![]);
     }
 
     // -- incremental evaluation ---------------------------------------------
 
     /// Replays `facts` as pushes and checks the state against the one-shot
     /// evaluation after every push, then again after every pop.
-    fn check_state_matches_oneshot<K: Semiring>(
-        mut state: EvalState<'_, K>,
-        oneshot: &dyn Fn(&Instance<K>) -> BTreeMap<Tuple, K>,
-        facts: &[(&str, Tuple, K)],
-    ) {
+    fn check_state_matches_oneshot<K: Semiring>(query: &dyn Query, facts: &[(&str, Tuple, K)]) {
+        let mut state = EvalState::new(query);
+        let oneshot = |i: &Instance<K>| eval_all_outputs(query, i);
         let mut instances: Vec<Instance<K>> = vec![Instance::new(schema())];
         for (rel, tuple, k) in facts {
             let mut next = instances.last().unwrap().clone();
@@ -1137,10 +970,8 @@ mod tests {
             .atom("R", &["x", "y"])
             .atom("R", &["y", "z"])
             .build();
-        let state: EvalState<'_, Natural> = EvalState::for_cq(&q);
-        check_state_matches_oneshot(
-            state,
-            &|i| eval_cq_all_outputs(&q, i),
+        check_state_matches_oneshot::<Natural>(
+            &q,
             &[
                 ("R", vec!["a".into(), "b".into()], Natural(2)),
                 ("R", vec!["b".into(), "c".into()], Natural(3)),
@@ -1157,10 +988,8 @@ mod tests {
             .atom("R", &["z", "w"])
             .inequality("x", "z")
             .build_ccq();
-        let state: EvalState<'_, Natural> = EvalState::for_ccq(&q);
-        check_state_matches_oneshot(
-            state,
-            &|i| eval_ccq_all_outputs(&q, i),
+        check_state_matches_oneshot::<Natural>(
+            &q,
             &[
                 ("R", vec!["a".into(), "b".into()], Natural(2)),
                 ("R", vec!["b".into(), "c".into()], Natural(3)),
@@ -1177,10 +1006,8 @@ mod tests {
             .atom("S", &["y"])
             .build();
         let ucq = Ucq::new([q1, q2]);
-        let state: EvalState<'_, Natural> = EvalState::for_ucq(&ucq);
-        check_state_matches_oneshot(
-            state,
-            &|i| eval_ucq_all_outputs(&ucq, i),
+        check_state_matches_oneshot::<Natural>(
+            &ucq,
             &[
                 ("S", vec!["b".into()], Natural(2)),
                 ("R", vec!["a".into(), "b".into()], Natural(3)),
@@ -1193,12 +1020,12 @@ mod tests {
     fn eval_state_handles_atomless_and_empty_unions() {
         // The empty UCQ evaluates to 0 everywhere.
         let empty = Ucq::empty();
-        let state: EvalState<'_, Natural> = EvalState::for_ucq(&empty);
+        let state: EvalState<'_, Natural> = EvalState::new(&empty);
         assert!(state.outputs().is_empty());
 
         // An atomless CQ evaluates to 1 on every instance, facts or not.
         let atomless = Cq::new(schema(), vec![], vec![], vec![]);
-        let mut state: EvalState<'_, Natural> = EvalState::for_cq(&atomless);
+        let mut state: EvalState<'_, Natural> = EvalState::new(&atomless);
         assert_eq!(state.outputs().get(&Vec::new()), Some(&Natural(1)));
         let r = schema().relation("R").unwrap();
         state.push_fact(r, vec![1.into(), 2.into()], Natural(7));
@@ -1216,22 +1043,22 @@ mod tests {
             .atom("S", &["v"])
             .build();
         let s = schema().relation("S").unwrap();
-        let mut state: EvalState<'_, Natural> = EvalState::for_cq(&q);
+        let mut state: EvalState<'_, Natural> = EvalState::new(&q);
         state.push_fact(s, vec!["c".into()], Natural(2));
         state.push_fact(s, vec!["c".into()], Natural(3));
         let mut i: Instance<Natural> = Instance::new(schema());
         i.insert(s, vec!["c".into()], Natural(5));
-        assert_eq!(state.outputs(), eval_cq_all_outputs(&q, &i));
+        assert_eq!(state.outputs(), eval_all_outputs(&q, &i));
         state.pop_fact();
         i.insert(s, vec!["c".into()], Natural(2));
-        assert_eq!(state.outputs(), eval_cq_all_outputs(&q, &i));
+        assert_eq!(state.outputs(), eval_all_outputs(&q, &i));
     }
 
     #[test]
     fn eval_state_zero_push_is_a_noop_frame() {
         let q = Cq::builder(&schema()).atom("S", &["v"]).build();
         let s = schema().relation("S").unwrap();
-        let mut state: EvalState<'_, Natural> = EvalState::for_cq(&q);
+        let mut state: EvalState<'_, Natural> = EvalState::new(&q);
         let before = state.domain().len();
         state.push_fact(s, vec!["c".into()], Natural(0));
         assert!(state.outputs().is_empty());
@@ -1249,16 +1076,19 @@ mod tests {
             .atom("R", &["x", "y"])
             .build();
         let r = schema().relation("R").unwrap();
-        let mut state: EvalState<'_, Natural> = EvalState::for_cq(&q);
-        assert_eq!(state.last_changed().count(), 0);
+        let mut state: EvalState<'_, Natural> = EvalState::new(&q);
+        let changed = |state: &EvalState<'_, Natural>| -> Vec<Tuple> {
+            state
+                .last_changed_rows()
+                .map(|row| state.domain().resolve_tuple(row))
+                .collect()
+        };
+        assert_eq!(changed(&state).len(), 0);
         state.push_fact(r, vec!["a".into(), "b".into()], Natural(2));
-        let changed: Vec<Tuple> = state.last_changed().collect();
-        assert_eq!(changed, vec![vec![DbValue::str("a")]]);
+        assert_eq!(changed(&state), vec![vec![DbValue::str("a")]]);
         // A fact for an unrelated output leaves ("a") out of the new delta.
         state.push_fact(r, vec!["b".into(), "c".into()], Natural(3));
-        let changed: Vec<Tuple> = state.last_changed().collect();
-        assert_eq!(changed, vec![vec![DbValue::str("b")]]);
-        // The interned view reports the same rows.
+        assert_eq!(changed(&state), vec![vec![DbValue::str("b")]]);
         assert_eq!(state.last_changed_rows().count(), 1);
     }
 
@@ -1269,10 +1099,10 @@ mod tests {
             .atom("R", &["y", "z"])
             .build();
         let r = schema().relation("R").unwrap();
-        let mut by_tuple: EvalState<'_, Natural> = EvalState::for_cq(&q);
+        let mut by_tuple: EvalState<'_, Natural> = EvalState::new(&q);
         by_tuple.push_fact(r, vec!["a".into(), "b".into()], Natural(2));
         by_tuple.push_fact(r, vec!["b".into(), "a".into()], Natural(3));
-        let mut by_row: EvalState<'_, Natural> = EvalState::for_cq(&q);
+        let mut by_row: EvalState<'_, Natural> = EvalState::new(&q);
         let a = by_row.domain().intern(&"a".into());
         let b = by_row.domain().intern(&"b".into());
         by_row.push_fact_row(r, &[a, b], Natural(2));
@@ -1285,7 +1115,7 @@ mod tests {
     #[should_panic(expected = "pop_fact with no pushed fact")]
     fn eval_state_pop_on_empty_panics() {
         let q = Cq::builder(&schema()).atom("S", &["v"]).build();
-        let mut state: EvalState<'_, Bool> = EvalState::for_cq(&q);
+        let mut state: EvalState<'_, Bool> = EvalState::new(&q);
         state.pop_fact();
     }
 
@@ -1300,7 +1130,7 @@ mod tests {
     fn eval_state_push_pop_mismatch_is_caught_in_debug() {
         let q = Cq::builder(&schema()).atom("S", &["v"]).build();
         let s = schema().relation("S").unwrap();
-        let mut state: EvalState<'_, Natural> = EvalState::for_cq(&q);
+        let mut state: EvalState<'_, Natural> = EvalState::new(&q);
         state.push_fact(s, vec!["c".into()], Natural(2));
         state.push_fact(s, vec!["d".into()], Natural(3));
         // Corrupt the newest frame: it now claims the relation held 0 facts

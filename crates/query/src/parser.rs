@@ -103,6 +103,13 @@ pub fn parse_ucq(schema: &mut Schema, input: &str) -> Result<Ucq, ParseError> {
             if !ccq.inequalities().is_empty() {
                 return err("UCQ members may not contain inequalities");
             }
+            let arity = ccq.cq().free_vars().len();
+            if members
+                .first()
+                .is_some_and(|first: &Cq| first.free_vars().len() != arity)
+            {
+                return err("UCQ members must have the same number of free variables");
+            }
             members.push(ccq.cq().clone());
         }
         Ok(Ucq::new(members))
@@ -325,6 +332,15 @@ mod tests {
         assert!(parse_cq(&mut schema, "Q() :- R(x,y) ; Q() :- R(y,x)").is_err());
         let e = parse_cq(&mut schema, "nope").unwrap_err();
         assert!(format!("{}", e).contains("parse error"));
+    }
+
+    #[test]
+    fn ucq_members_with_different_head_arities_are_a_parse_error() {
+        let mut schema = Schema::new();
+        let e = parse_ucq(&mut schema, "Q(x) :- R(x, y) ; Q() :- R(u, v)").unwrap_err();
+        assert!(e.message.contains("same number of free variables"), "{e}");
+        // Like every failed parse, it leaves the schema untouched.
+        assert!(schema.relation("R").is_none());
     }
 
     #[test]

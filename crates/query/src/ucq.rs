@@ -28,15 +28,11 @@ impl Ucq {
     /// Builds a UCQ from CQs.  All members must have the same number of free
     /// variables (the paper additionally requires the same schema; this is
     /// the caller's responsibility since schemas compare structurally).
+    ///
+    /// Panics if two members have different numbers of free variables.
     pub fn new(disjuncts: impl IntoIterator<Item = Cq>) -> Self {
         let disjuncts: Vec<Cq> = disjuncts.into_iter().collect();
-        if let Some(first) = disjuncts.first() {
-            let arity = first.free_vars().len();
-            assert!(
-                disjuncts.iter().all(|q| q.free_vars().len() == arity),
-                "all members of a UCQ must have the same number of free variables"
-            );
-        }
+        assert_one_arity(disjuncts.iter());
         Ucq { disjuncts }
     }
 
@@ -63,22 +59,14 @@ impl Ucq {
     }
 
     /// The multiset union of two UCQs (the operation `Q₁ ∪ Q₃` of
-    /// requirement (C4), Sec. 3.1).
+    /// requirement (C4), Sec. 3.1).  Panics like [`Ucq::new`].
     pub fn union(&self, other: &Ucq) -> Ucq {
-        let mut disjuncts = self.disjuncts.clone();
-        disjuncts.extend(other.disjuncts.iter().cloned());
-        Ucq { disjuncts }
+        Ucq::new(self.disjuncts.iter().chain(&other.disjuncts).cloned())
     }
 
-    /// Adds a disjunct.
+    /// Adds a disjunct.  Panics like [`Ucq::new`].
     pub fn push(&mut self, cq: Cq) {
-        if let Some(first) = self.disjuncts.first() {
-            assert_eq!(
-                first.free_vars().len(),
-                cq.free_vars().len(),
-                "all members of a UCQ must have the same number of free variables"
-            );
-        }
+        assert_one_arity(self.disjuncts.iter().take(1).chain([&cq]));
         self.disjuncts.push(cq);
     }
 }
@@ -119,10 +107,12 @@ impl Ducq {
     }
 
     /// Builds a union of CCQs.
+    ///
+    /// Panics if two members have different numbers of free variables.
     pub fn new(disjuncts: impl IntoIterator<Item = Ccq>) -> Self {
-        Ducq {
-            disjuncts: disjuncts.into_iter().collect(),
-        }
+        let disjuncts: Vec<Ccq> = disjuncts.into_iter().collect();
+        assert_one_arity(disjuncts.iter().map(Ccq::cq));
+        Ducq { disjuncts }
     }
 
     /// The member CCQs.
@@ -140,15 +130,14 @@ impl Ducq {
         self.disjuncts.is_empty()
     }
 
-    /// Multiset union.
+    /// Multiset union.  Panics like [`Ducq::new`].
     pub fn union(&self, other: &Ducq) -> Ducq {
-        let mut disjuncts = self.disjuncts.clone();
-        disjuncts.extend(other.disjuncts.iter().cloned());
-        Ducq { disjuncts }
+        Ducq::new(self.disjuncts.iter().chain(&other.disjuncts).cloned())
     }
 
-    /// Adds a disjunct.
+    /// Adds a disjunct.  Panics like [`Ducq::new`].
     pub fn push(&mut self, ccq: Ccq) {
+        assert_one_arity(self.disjuncts.iter().take(1).chain([&ccq]).map(Ccq::cq));
         self.disjuncts.push(ccq);
     }
 }
@@ -165,6 +154,18 @@ impl fmt::Display for Ducq {
             write!(f, "{}", q)?;
         }
         Ok(())
+    }
+}
+
+/// Asserts the union rule of Sec. 2: all members have the same number of
+/// free variables.
+fn assert_one_arity<'q>(members: impl IntoIterator<Item = &'q Cq>) {
+    let mut arities = members.into_iter().map(|q| q.free_vars().len());
+    if let Some(first) = arities.next() {
+        assert!(
+            arities.all(|arity| arity == first),
+            "all members of a union must have the same number of free variables"
+        );
     }
 }
 
@@ -227,6 +228,38 @@ mod tests {
             .atom("R", &["x"])
             .build();
         let _ = Ucq::new([r_query(), q_free]);
+    }
+
+    fn r_free() -> Cq {
+        Cq::builder(&schema())
+            .free(&["x"])
+            .atom("R", &["x"])
+            .build()
+    }
+
+    #[test]
+    #[should_panic(expected = "same number of free variables")]
+    fn ucq_union_checks_head_arity() {
+        let _ = Ucq::single(r_query()).union(&Ucq::single(r_free()));
+    }
+
+    #[test]
+    #[should_panic(expected = "same number of free variables")]
+    fn ducq_new_checks_head_arity() {
+        let _ = Ducq::new([Ccq::from_cq(r_query()), Ccq::from_cq(r_free())]);
+    }
+
+    #[test]
+    #[should_panic(expected = "same number of free variables")]
+    fn ducq_push_checks_head_arity() {
+        let mut d = Ducq::from(Ccq::from_cq(r_query()));
+        d.push(Ccq::from_cq(r_free()));
+    }
+
+    #[test]
+    #[should_panic(expected = "same number of free variables")]
+    fn ducq_union_checks_head_arity() {
+        let _ = Ducq::from(Ccq::from_cq(r_query())).union(&Ducq::from(Ccq::from_cq(r_free())));
     }
 
     #[test]

@@ -1,9 +1,10 @@
-//! Fault-injection tests: clients that misbehave at the transport level.
+//! Fault-injection tests: clients that misbehave.
 //!
 //! Each scenario wounds the server in a specific way — disconnect
 //! mid-request, a half-written batch, a slow-loris drip against the read
-//! timeout, connections past the cap — and then asserts the server still
-//! answers cleanly and its `STATS` counters stayed consistent.
+//! timeout, connections past the cap, a union whose members disagree on
+//! head arity — and then asserts the server still answers cleanly and its
+//! `STATS` counters stayed consistent.
 
 use annot_service::{serve, Service, ServiceConfig, ShutdownFlag};
 use std::io::{BufRead, BufReader, Read, Write};
@@ -267,5 +268,28 @@ fn connections_past_the_cap_get_busy_and_the_slot_recycles() {
             "refusals are counted: {stats}"
         );
         assert_eq!(third.roundtrip("QUIT"), "OK bye");
+    });
+}
+
+#[test]
+fn mixed_head_arities_get_err_and_the_server_keeps_serving() {
+    // One worker: were a request to take its worker down, the session
+    // would read EOF instead of a reply (and no worker would be left to
+    // hang the test).
+    with_server(ServiceConfig::default(), 1, |addr| {
+        let mut client = Client::connect(addr);
+        let right = client.roundtrip("DECIDE B Q() :- R(u,v) ⊑ Q(x) :- R(x,y) ; Q() :- R(u,v)");
+        assert!(right.starts_with("ERR right query:"), "{right}");
+        assert!(right.contains("same number of free variables"), "{right}");
+        let left = client.roundtrip("DECIDE B Q(x) :- R(x,y) ; Q() :- R(u,v) ⊑ Q() :- R(u,v)");
+        assert!(left.starts_with("ERR left query:"), "{left}");
+        assert!(left.contains("same number of free variables"), "{left}");
+        drop(client);
+
+        let mut probe = Client::connect(addr);
+        assert_eq!(probe.roundtrip("PING"), "OK pong");
+        let stats = probe.roundtrip("STATS");
+        assert_consistent(&stats);
+        assert_eq!(stat_u64(&stats, "decides"), 0, "{stats}");
     });
 }

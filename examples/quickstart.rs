@@ -5,7 +5,7 @@
 
 use annot_core::decide::decide_cq;
 use annot_polynomial::Var;
-use annot_query::eval::eval_cq;
+use annot_query::eval::eval;
 use annot_query::{parser, Instance, Schema};
 use annot_semiring::{Bool, NatPoly, Natural, Tropical, Why};
 
@@ -34,15 +34,15 @@ fn main() {
     println!("\nEvaluating the Boolean query Q1 over the same data:");
     println!(
         "  bag semantics (N):        {:?}",
-        eval_cq(&q1, &bags, &vec![])
+        eval(&q1, &bags, &vec![])
     );
     println!(
         "  tropical cost (T+):       {:?}",
-        eval_cq(&q1, &costs, &vec![])
+        eval(&q1, &costs, &vec![])
     );
     println!(
         "  provenance (N[X]):        {:?}",
-        eval_cq(&q1, &provenance, &vec![])
+        eval(&q1, &provenance, &vec![])
     );
 
     // 4. Containment depends on the annotation semiring (the paper's point).

@@ -7,7 +7,7 @@ use annot_core::decide::decide_cq;
 use annot_core::small_model::{cq_contained_small_model, ucq_contained_small_model};
 use annot_hom::kinds;
 use annot_query::complete::complete_description_cq;
-use annot_query::eval::eval_boolean_cq;
+use annot_query::eval::eval;
 use annot_query::{parser, CanonicalInstance, Schema};
 use annot_semiring::{Schedule, Tropical};
 
@@ -30,8 +30,8 @@ fn main() {
     );
     for ccq in description.disjuncts() {
         let canonical = CanonicalInstance::of_ccq(ccq);
-        let p1 = eval_boolean_cq(&q1, canonical.instance());
-        let p2 = eval_boolean_cq(&q2, canonical.instance());
+        let p1 = eval(&q1, canonical.instance(), &vec![]);
+        let p2 = eval(&q2, canonical.instance(), &vec![]);
         println!(
             "  {}\n      Q1^[[.]] = {:?}   Q2^[[.]] = {:?}",
             ccq,

@@ -29,7 +29,7 @@ use annot_hom::kinds;
 use annot_polynomial::admissible::is_cq_admissible;
 use annot_polynomial::{leq_min_plus, Monomial, Polynomial, Var};
 use annot_query::complete::complete_description_cq;
-use annot_query::eval::{eval_boolean_cq, eval_cq, eval_ducq};
+use annot_query::eval::eval;
 use annot_query::generator::{GeneratorConfig, QueryGenerator, QueryShape};
 use annot_query::{CanonicalInstance, Cq, Ducq, Instance, Ucq};
 use annot_semiring::{
@@ -440,10 +440,10 @@ fn ducq_pair(seed: u64) -> (Ducq, Ducq) {
 
 /// Random DUCQs (unions of CCQs, whose disjuncts carry `u ≠ v` disequality
 /// constraints): the prefix-memoized oracle — which maintains both queries'
-/// all-outputs maps through `EvalState::for_ducq` — must agree with the
-/// naive reference oracle — which re-evaluates every instance one-shot via
-/// `eval_ducq_all_outputs` — on the existence of a counterexample, and
-/// every reported counterexample must replay under `eval_ducq`.
+/// all-outputs maps through `EvalState` — must agree with the naive
+/// reference oracle — which re-evaluates every instance one-shot via
+/// `eval_all_outputs` — on the existence of a counterexample, and every
+/// reported counterexample must replay under `eval`.
 ///
 /// No syntactic decider covers DUCQs, so unlike the CQ/UCQ harnesses above
 /// this is a two-oracle differential; it runs over one representative
@@ -475,8 +475,8 @@ fn oracle_ducq<K: Semiring>(cases: usize) {
             11_000 + seed
         );
         for ce in [memoized, naive].into_iter().flatten() {
-            let lhs = eval_ducq(&d1, &ce.instance, &ce.tuple);
-            let rhs = eval_ducq(&d2, &ce.instance, &ce.tuple);
+            let lhs = eval(&d1, &ce.instance, &ce.tuple);
+            let rhs = eval(&d2, &ce.instance, &ce.tuple);
             assert_eq!(ce.lhs, lhs, "{}: reported lhs is not Q₁ᴵ(t)", K::NAME);
             assert_eq!(ce.rhs, rhs, "{}: reported rhs is not Q₂ᴵ(t)", K::NAME);
             assert!(
@@ -564,15 +564,15 @@ fn complete_description_equivalence_on_random_queries() {
         let q = generator.cq();
         let description = complete_description_cq(&q);
         let instance: Instance<Natural> = generator.instance(3, 5);
-        let direct = eval_boolean_cq(&q, &instance);
-        let via_description = eval_ducq(&description, &instance, &vec![]);
+        let direct = eval(&q, &instance, &vec![]);
+        let via_description = eval(&description, &instance, &vec![]);
         assert_eq!(direct, via_description, "Q ≢ ⟨Q⟩ for {}", q);
 
         let tropical: Instance<Tropical> =
             instance.map_annotations(&|n| Tropical::Finite(n.0.min(20)));
         assert_eq!(
-            eval_boolean_cq(&q, &tropical),
-            eval_ducq(&description, &tropical, &vec![])
+            eval(&q, &tropical, &vec![]),
+            eval(&description, &tropical, &vec![])
         );
     }
 }
@@ -616,7 +616,7 @@ fn canonical_instances_capture_homomorphisms() {
     for seed in 200..240u64 {
         let (q1, q2) = cq_pair(seed);
         let canonical = CanonicalInstance::of_cq(&q1);
-        let value = eval_cq(&q2, canonical.instance(), &canonical.identity_tuple(&q2));
+        let value = eval(&q2, canonical.instance(), &canonical.identity_tuple(&q2));
         let hom = kinds::exists_hom(&q2, &q1);
         // Both queries here are Boolean, so the identity tuple is empty and
         // the equivalence is exact.

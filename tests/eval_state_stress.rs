@@ -7,24 +7,23 @@
 //! (pop a fact, then re-push the same row with a different annotation)
 //! interleaved — and checks the maintained **row-level** outputs
 //! ([`EvalState::outputs_rows`]) against the one-shot
-//! `eval_*_all_outputs_rows` family after **every** step, across all four
-//! query shapes (CQ / CCQ / UCQ / DUCQ) and both dispatch classes of
-//! annotation domain (scalar: `N`, `T⁺`; heap-carrying: `Why[X]`, `N[X]`).
+//! [`eval_all_outputs_rows`] after **every** step, across all four query
+//! shapes (CQ / CCQ / UCQ / DUCQ) and both dispatch classes of annotation
+//! domain (scalar: `N`, `T⁺`; heap-carrying: `Why[X]`, `N[X]`).  The CQ
+//! walks also drive the four lifts of one CQ side by side — `q`,
+//! `Ccq::from_cq(q)`, `Ucq::single(q)` and `Ducq::from(Ccq::from_cq(q))` —
+//! which must evaluate identically, incrementally and one-shot.
 //!
 //! The row-level comparison is exact because the state, the mirror
 //! instance and the one-shot evaluators all share one interner: clones of
 //! a [`Schema`] share its [`Domain`], so equal tuples intern to equal
 //! [`ValueId`]s on every side.
 
-use annot_query::eval::{
-    eval_ccq_all_outputs_rows, eval_cq_all_outputs_rows, eval_ducq_all_outputs_rows,
-    eval_ucq_all_outputs_rows, EvalState,
-};
-use annot_query::{Ccq, Cq, DbValue, Ducq, IdTuple, Instance, QVar, RelId, Schema, Tuple, Ucq};
+use annot_query::eval::{eval_all_outputs_rows, EvalState, Query};
+use annot_query::{Ccq, Cq, DbValue, Ducq, Instance, QVar, RelId, Schema, Tuple, Ucq};
 use annot_semiring::{NatPoly, Natural, Semiring, Tropical, Why};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use std::collections::BTreeMap;
 
 fn schema() -> Schema {
     Schema::with_relations([("R", 2), ("S", 1)])
@@ -44,9 +43,11 @@ fn mirror_instance<K: Semiring>(schema: &Schema, stack: &[Fact<K>]) -> Instance<
     instance
 }
 
-/// Drives `state` through `steps` seeded random push/pop steps over the
-/// given schema and checks its row-level outputs against `oneshot` of the
-/// mirror instance after every step.
+/// Drives one [`EvalState`] per query through `steps` seeded random
+/// push/pop steps over the given schema (every state gets the same pushes
+/// and pops) and checks, after every step, that every state's row-level
+/// outputs and every query's one-shot evaluation of the mirror instance
+/// are one and the same map.
 ///
 /// The walk is biased towards pushes (so depth grows), draws annotations
 /// from the **full** sample list — including `0`, exercising the no-op
@@ -55,13 +56,28 @@ fn mirror_instance<K: Semiring>(schema: &Schema, stack: &[Fact<K>]) -> Instance<
 /// immediately re-pushes its row under a different annotation: the
 /// tombstone-revival episode of the brute-force enumerators, driven
 /// through the undo log.
-fn random_walk<K: Semiring>(
-    seed: u64,
-    steps: usize,
-    schema: &Schema,
-    state: &mut EvalState<'_, K>,
-    oneshot: &dyn Fn(&Instance<K>) -> BTreeMap<IdTuple, K>,
-) {
+fn random_walk<K: Semiring>(seed: u64, steps: usize, schema: &Schema, queries: &[&dyn Query]) {
+    let mut states: Vec<EvalState<'_, K>> = queries.iter().map(|q| EvalState::new(*q)).collect();
+    let check = |states: &[EvalState<'_, K>], stack: &[Fact<K>], step: &str| {
+        let mirror = mirror_instance(schema, stack);
+        let expected = eval_all_outputs_rows(queries[0], &mirror);
+        for (i, (q, state)) in queries.iter().zip(states).enumerate() {
+            assert_eq!(
+                eval_all_outputs_rows(*q, &mirror),
+                expected,
+                "{}: one-shot outputs of query {i} diverged {step}",
+                K::NAME
+            );
+            assert_eq!(state.depth(), stack.len(), "depth diverged {step}");
+            assert_eq!(
+                *state.outputs_rows(),
+                expected,
+                "{}: row-level outputs of query {i} diverged {step} (depth {})",
+                K::NAME,
+                stack.len()
+            );
+        }
+    };
     let mut rng = StdRng::seed_from_u64(seed);
     let samples: Vec<K> = K::sample_elements();
     let rels: Vec<RelId> = schema.rel_ids().collect();
@@ -79,45 +95,34 @@ fn random_walk<K: Semiring>(
             // Push a random fact (possibly zero-annotated).
             let (rel, tuple) = random_fact(&mut rng);
             let k = samples[rng.gen_range(0..samples.len())].clone();
-            state.push_fact(rel, tuple.clone(), k.clone());
+            for state in &mut states {
+                state.push_fact(rel, tuple.clone(), k.clone());
+            }
             stack.push((rel, tuple, k));
         } else if roll < 8 {
-            state.pop_fact();
+            states.iter_mut().for_each(EvalState::pop_fact);
             stack.pop();
         } else {
             // Tombstone revival: retract the newest fact and revive its row
             // under a different annotation.
             let (rel, tuple, old) = stack.pop().expect("non-empty stack");
-            state.pop_fact();
             let replacement = samples
                 .iter()
                 .find(|k| !k.is_zero() && **k != old)
                 .expect("samples contain at least two distinct non-zero elements")
                 .clone();
-            state.push_fact(rel, tuple.clone(), replacement.clone());
+            for state in &mut states {
+                state.pop_fact();
+                state.push_fact(rel, tuple.clone(), replacement.clone());
+            }
             stack.push((rel, tuple, replacement));
         }
-        assert_eq!(state.depth(), stack.len(), "depth diverged at step {step}");
-        let expected = oneshot(&mirror_instance(schema, &stack));
-        assert_eq!(
-            *state.outputs_rows(),
-            expected,
-            "{}: row-level outputs diverged at step {step} (depth {})",
-            K::NAME,
-            stack.len()
-        );
+        check(&states, &stack, &format!("at step {step}"));
     }
     // Unwind completely: the undo log must restore the initial outputs.
-    while state.depth() > 0 {
-        state.pop_fact();
-        stack.pop();
-        let expected = oneshot(&mirror_instance(schema, &stack));
-        assert_eq!(
-            *state.outputs_rows(),
-            expected,
-            "{}: unwind diverged",
-            K::NAME
-        );
+    while stack.pop().is_some() {
+        states.iter_mut().for_each(EvalState::pop_fact);
+        check(&states, &stack, "on unwind");
     }
 }
 
@@ -138,13 +143,14 @@ fn cq_query(schema: &Schema) -> Cq {
         .build()
 }
 
+/// Walks the CQ side by side with its lifts into the three other shapes.
 fn stress_cq<K: Semiring>(seed: u64) {
     let schema = schema();
     let q = cq_query(&schema);
-    let mut state: EvalState<'_, K> = EvalState::for_cq(&q);
-    random_walk(seed, STEPS, &schema, &mut state, &|i| {
-        eval_cq_all_outputs_rows(&q, i)
-    });
+    let ccq = Ccq::from_cq(q.clone());
+    let ucq = Ucq::single(q.clone());
+    let ducq = Ducq::from(ccq.clone());
+    random_walk::<K>(seed, STEPS, &schema, &[&q, &ccq, &ucq, &ducq]);
 }
 
 #[test]
@@ -169,11 +175,7 @@ fn ccq_query(schema: &Schema) -> Ccq {
 
 fn stress_ccq<K: Semiring>(seed: u64) {
     let schema = schema();
-    let q = ccq_query(&schema);
-    let mut state: EvalState<'_, K> = EvalState::for_ccq(&q);
-    random_walk(seed, STEPS, &schema, &mut state, &|i| {
-        eval_ccq_all_outputs_rows(&q, i)
-    });
+    random_walk::<K>(seed, STEPS, &schema, &[&ccq_query(&schema)]);
 }
 
 #[test]
@@ -200,11 +202,7 @@ fn ucq_query(schema: &Schema) -> Ucq {
 
 fn stress_ucq<K: Semiring>(seed: u64) {
     let schema = schema();
-    let q = ucq_query(&schema);
-    let mut state: EvalState<'_, K> = EvalState::for_ucq(&q);
-    random_walk(seed, STEPS, &schema, &mut state, &|i| {
-        eval_ucq_all_outputs_rows(&q, i)
-    });
+    random_walk::<K>(seed, STEPS, &schema, &[&ucq_query(&schema)]);
 }
 
 #[test]
@@ -232,11 +230,7 @@ fn ducq_query(schema: &Schema) -> Ducq {
 
 fn stress_ducq<K: Semiring>(seed: u64) {
     let schema = schema();
-    let q = ducq_query(&schema);
-    let mut state: EvalState<'_, K> = EvalState::for_ducq(&q);
-    random_walk(seed, STEPS, &schema, &mut state, &|i| {
-        eval_ducq_all_outputs_rows(&q, i)
-    });
+    random_walk::<K>(seed, STEPS, &schema, &[&ducq_query(&schema)]);
 }
 
 #[test]
@@ -260,7 +254,7 @@ fn stress_untracked_relations_round_trip() {
         .free(&["x"])
         .atom("R", &["x", "y"])
         .build();
-    let mut state: EvalState<'_, Natural> = EvalState::for_cq(&q);
+    let mut state: EvalState<'_, Natural> = EvalState::new(&q);
     let r = schema.relation("R").unwrap();
     let t = schema.relation("T").unwrap();
     state.push_fact(t, vec![1.into(), 2.into(), 3.into()], Natural(7));

@@ -15,7 +15,7 @@
 use annot_core::brute_force::{
     find_counterexample_ucq, find_counterexample_ucq_naive, BruteForceConfig,
 };
-use annot_query::eval::{eval_cq, eval_cq_all_outputs, eval_cq_all_outputs_rows, resolve_outputs};
+use annot_query::eval::{eval, eval_all_outputs, eval_all_outputs_rows, resolve_outputs};
 use annot_query::generator::{GeneratorConfig, QueryGenerator, QueryShape};
 use annot_query::{DbValue, Domain, Instance, Schema, Tuple, Ucq};
 use annot_semiring::{Bool, Lineage, NatPoly, Natural, Semiring, Tropical, Why};
@@ -114,7 +114,7 @@ fn instance_equality_is_insertion_order_independent_randomized() {
 
 /// The interned all-outputs path must match the `DbValue`-boundary
 /// reference: per answer tuple, the resolved map entry equals a from-scratch
-/// per-tuple [`eval_cq`] evaluation.
+/// per-tuple [`eval`] evaluation.
 fn eval_differential<K: Semiring>() {
     let mut generator = QueryGenerator::new(GeneratorConfig {
         num_atoms: 2,
@@ -127,8 +127,8 @@ fn eval_differential<K: Semiring>() {
     for _ in 0..10 {
         let q = generator.cq();
         let instance: Instance<K> = generator.instance(3, 8);
-        let rows = eval_cq_all_outputs_rows(&q, &instance);
-        let resolved = eval_cq_all_outputs(&q, &instance);
+        let rows = eval_all_outputs_rows(&q, &instance);
+        let resolved = eval_all_outputs(&q, &instance);
         assert_eq!(
             resolve_outputs(instance.domain(), &rows),
             resolved,
@@ -137,7 +137,7 @@ fn eval_differential<K: Semiring>() {
         );
         for (tuple, value) in &resolved {
             assert_eq!(
-                &eval_cq(&q, &instance, tuple),
+                &eval(&q, &instance, tuple),
                 value,
                 "{}: interned all-outputs disagrees with per-tuple reference",
                 K::NAME
@@ -207,8 +207,8 @@ fn oracle_differential<K: Semiring>() {
         if let Some(ce) = memoized {
             // The witness tuple was resolved from interned rows; it must
             // replay on the reported instance through the DbValue API.
-            let lhs = eval_cq(&u1.disjuncts()[0], &ce.instance, &ce.tuple);
-            let rhs = eval_cq(&u2.disjuncts()[0], &ce.instance, &ce.tuple);
+            let lhs = eval(&u1.disjuncts()[0], &ce.instance, &ce.tuple);
+            let rhs = eval(&u2.disjuncts()[0], &ce.instance, &ce.tuple);
             assert_eq!(ce.lhs, lhs, "{}: lhs does not replay", K::NAME);
             assert_eq!(ce.rhs, rhs, "{}: rhs does not replay", K::NAME);
             assert!(!lhs.leq(&rhs), "{}: violation does not replay", K::NAME);

@@ -40,9 +40,7 @@ use annot_core::brute_force::{
     find_counterexample_ucq, find_counterexample_ucq_naive, quotiented_instance_count,
     try_find_counterexample_ucq, BruteForceConfig, BruteForceError, CounterExample,
 };
-use annot_query::eval::{
-    eval_ccq_all_outputs, eval_cq, eval_ducq_all_outputs, eval_ucq_all_outputs, EvalState,
-};
+use annot_query::eval::{eval, eval_all_outputs, EvalState, Query};
 use annot_query::generator::{GeneratorConfig, QueryGenerator, QueryShape};
 use annot_query::{Ccq, Cq, Ducq, Instance, QVar, Schema, Tuple, Ucq};
 use annot_semiring::{Bool, Lineage, NatPoly, Natural, Semiring, Tropical, Why};
@@ -75,18 +73,12 @@ fn check_agreement<K: Semiring>(u1: &Ucq, u2: &Ucq, config: &BruteForceConfig, c
         u2
     );
     for ce in [memoized, naive].into_iter().flatten() {
-        let lhs = eval_ucq(u1, &ce.instance, &ce.tuple);
-        let rhs = eval_ucq(u2, &ce.instance, &ce.tuple);
+        let lhs = eval(u1, &ce.instance, &ce.tuple);
+        let rhs = eval(u2, &ce.instance, &ce.tuple);
         assert_eq!(ce.lhs, lhs, "{}: reported lhs is not Q₁ᴵ(t)", K::NAME);
         assert_eq!(ce.rhs, rhs, "{}: reported rhs is not Q₂ᴵ(t)", K::NAME);
         assert!(!lhs.leq(&rhs), "{}: reported violation replays", K::NAME);
     }
-}
-
-fn eval_ucq<K: Semiring>(u: &Ucq, instance: &Instance<K>, t: &Tuple) -> K {
-    u.disjuncts()
-        .iter()
-        .fold(K::zero(), |acc, cq| acc.add(&eval_cq(cq, instance, t)))
 }
 
 // Randomized case loads, with a Miri quick mode (the interpreter is
@@ -199,15 +191,11 @@ fn differential_ucq_nat_poly() {
 // Annotation maps: EvalState vs the one-shot evaluators under random walks
 // ---------------------------------------------------------------------------
 
-/// Drives an [`EvalState`] through a random push/pop walk and checks the
-/// maintained annotation map against `oneshot` of the equivalent instance
-/// after every step.
-fn random_walk_matches_oneshot<K: Semiring>(
-    schema: &Schema,
-    state: &mut EvalState<'_, K>,
-    oneshot: &dyn Fn(&Instance<K>) -> std::collections::BTreeMap<Tuple, K>,
-    rng: &mut StdRng,
-) {
+/// Drives an [`EvalState`] of `query` through a random push/pop walk and
+/// checks the maintained annotation map against the one-shot
+/// [`eval_all_outputs`] of the equivalent instance after every step.
+fn random_walk_matches_oneshot<K: Semiring>(schema: &Schema, query: &dyn Query, rng: &mut StdRng) {
+    let mut state: EvalState<'_, K> = EvalState::new(query);
     let samples: Vec<K> = K::sample_elements();
     let rels: Vec<_> = schema.rel_ids().collect();
     // The shadow stack of concrete facts mirrored into a rebuilt instance.
@@ -232,7 +220,7 @@ fn random_walk_matches_oneshot<K: Semiring>(
         }
         assert_eq!(
             state.outputs(),
-            oneshot(&instance),
+            eval_all_outputs(query, &instance),
             "{}: annotation map diverged at depth {}",
             K::NAME,
             stack.len()
@@ -257,13 +245,7 @@ fn eval_state_cq_maps_match_under_random_walks() {
     let schema = walk_schema();
     let q = walk_cq(&schema);
     let mut rng = StdRng::seed_from_u64(0xD1);
-    let mut state: EvalState<'_, Natural> = EvalState::for_cq(&q);
-    random_walk_matches_oneshot(
-        &schema,
-        &mut state,
-        &|i| annot_query::eval::eval_cq_all_outputs(&q, i),
-        &mut rng,
-    );
+    random_walk_matches_oneshot::<Natural>(&schema, &q, &mut rng);
 }
 
 #[test]
@@ -275,13 +257,7 @@ fn eval_state_ccq_maps_match_under_random_walks() {
         .build();
     let ccq = Ccq::new(base, [(QVar(0), QVar(2))]);
     let mut rng = StdRng::seed_from_u64(0xD2);
-    let mut state: EvalState<'_, Natural> = EvalState::for_ccq(&ccq);
-    random_walk_matches_oneshot(
-        &schema,
-        &mut state,
-        &|i| eval_ccq_all_outputs(&ccq, i),
-        &mut rng,
-    );
+    random_walk_matches_oneshot::<Natural>(&schema, &ccq, &mut rng);
 }
 
 #[test]
@@ -296,13 +272,7 @@ fn eval_state_ucq_maps_match_under_random_walks_nat_poly() {
         .build();
     let ucq = Ucq::new([q1, q2]);
     let mut rng = StdRng::seed_from_u64(0xD3);
-    let mut state: EvalState<'_, NatPoly> = EvalState::for_ucq(&ucq);
-    random_walk_matches_oneshot(
-        &schema,
-        &mut state,
-        &|i| eval_ucq_all_outputs(&ucq, i),
-        &mut rng,
-    );
+    random_walk_matches_oneshot::<NatPoly>(&schema, &ucq, &mut rng);
 }
 
 #[test]
@@ -316,13 +286,7 @@ fn eval_state_ducq_maps_match_under_random_walks() {
     let ccq2 = Ccq::from_cq(Cq::builder(&schema).atom("S", &["v"]).build());
     let ducq = Ducq::new([ccq1, ccq2]);
     let mut rng = StdRng::seed_from_u64(0xD4);
-    let mut state: EvalState<'_, Why> = EvalState::for_ducq(&ducq);
-    random_walk_matches_oneshot(
-        &schema,
-        &mut state,
-        &|i| eval_ducq_all_outputs(&ducq, i),
-        &mut rng,
-    );
+    random_walk_matches_oneshot::<Why>(&schema, &ducq, &mut rng);
 }
 
 // ---------------------------------------------------------------------------
@@ -412,8 +376,8 @@ fn sibling_sharing_matches_naive<K: Semiring>(cases: u64) {
                     u2
                 );
                 if let Some(ce) = shared {
-                    let lhs = eval_ucq(&u1, &ce.instance, &ce.tuple);
-                    let rhs = eval_ucq(&u2, &ce.instance, &ce.tuple);
+                    let lhs = eval(&u1, &ce.instance, &ce.tuple);
+                    let rhs = eval(&u2, &ce.instance, &ce.tuple);
                     assert_eq!(ce.lhs, lhs, "{}: reported lhs replay", K::NAME);
                     assert_eq!(ce.rhs, rhs, "{}: reported rhs replay", K::NAME);
                     assert!(!lhs.leq(&rhs), "{}: reported violation replay", K::NAME);
@@ -655,8 +619,8 @@ fn thread_sweep_budget_race_fails_cleanly_or_finds_a_real_witness() {
                 let ce = outcome
                     .counterexample
                     .expect("a walk that beat the budget must carry the refutation");
-                let lhs = eval_ucq(&q1, &ce.instance, &ce.tuple);
-                let rhs = eval_ucq(&q2, &ce.instance, &ce.tuple);
+                let lhs = eval(&q1, &ce.instance, &ce.tuple);
+                let rhs = eval(&q2, &ce.instance, &ce.tuple);
                 assert_eq!(ce.lhs, lhs, "threads {threads}: reported lhs replay");
                 assert_eq!(ce.rhs, rhs, "threads {threads}: reported rhs replay");
                 assert!(
@@ -685,13 +649,6 @@ fn full_walk_counts_factorized_nat_poly() {
 // ---------------------------------------------------------------------------
 // The search-space quotients: reduced samples × symmetry pruning (PR 9)
 // ---------------------------------------------------------------------------
-
-fn eval_ducq<K: Semiring>(d: &Ducq, instance: &Instance<K>, t: &Tuple) -> K {
-    eval_ducq_all_outputs(d, instance)
-        .get(t)
-        .cloned()
-        .unwrap_or_else(K::zero)
-}
 
 /// Runs one (pair, shape) cell of the quotient sweep: for both positions of
 /// the `symmetry_quotient` knob the sequential verdict must match the
@@ -783,8 +740,8 @@ fn quotient_sweep<K: Semiring>(cases: u64) {
                 &|config| find_counterexample_ucq::<K>(&u1, &u2, config),
                 &|ce| {
                     (
-                        eval_ucq(&u1, &ce.instance, &ce.tuple),
-                        eval_ucq(&u2, &ce.instance, &ce.tuple),
+                        eval(&u1, &ce.instance, &ce.tuple),
+                        eval(&u2, &ce.instance, &ce.tuple),
                     )
                 },
                 &format!("{shape} seed {seed}"),
@@ -799,8 +756,8 @@ fn quotient_sweep<K: Semiring>(cases: u64) {
             &|config| find_counterexample_ducq::<K>(&d1, &d2, config),
             &|ce| {
                 (
-                    eval_ducq(&d1, &ce.instance, &ce.tuple),
-                    eval_ducq(&d2, &ce.instance, &ce.tuple),
+                    eval(&d1, &ce.instance, &ce.tuple),
+                    eval(&d2, &ce.instance, &ce.tuple),
                 )
             },
             &format!("DUCQ seed {seed}"),

@@ -10,7 +10,7 @@ use annot_hom::kinds;
 use annot_polynomial::admissible::is_cq_admissible;
 use annot_polynomial::{leq_min_plus, Polynomial, Var};
 use annot_query::complete::complete_description_cq;
-use annot_query::eval::eval_boolean_cq;
+use annot_query::eval::eval;
 use annot_query::{parser, CanonicalInstance, Cq, Schema, Ucq};
 use annot_semiring::{Bool, BoundedNat, Lineage, NatPoly, Natural, Tropical, Why};
 
@@ -66,8 +66,8 @@ fn example_4_6_canonical_polynomials() {
         .find(|c| c.cq().num_vars() == 3)
         .expect("Q11 present");
     let canonical = CanonicalInstance::of_ccq(q11);
-    let p1 = eval_boolean_cq(&q1, canonical.instance());
-    let p2 = eval_boolean_cq(&q2, canonical.instance());
+    let p1 = eval(&q1, canonical.instance(), &vec![]);
+    let p2 = eval(&q2, canonical.instance(), &vec![]);
 
     let x1 = Polynomial::var(Var(0));
     let x2 = Polynomial::var(Var(1));
@@ -215,7 +215,7 @@ fn section_4_5_admissibility_examples() {
     let mut schema = Schema::with_relations([("R", 2)]);
     let q1 = parse_cq(&mut schema, "Q() :- R(u, v), R(u, w)");
     let canonical = CanonicalInstance::of_cq(&q1);
-    let p = eval_boolean_cq(&q1, canonical.instance());
+    let p = eval(&q1, canonical.instance(), &vec![]);
     assert!(is_cq_admissible(p.polynomial()));
 }
 
