@@ -97,6 +97,12 @@ impl SemiringId {
         (0..REGISTRY.len()).map(|i| SemiringId(i as u16))
     }
 
+    /// The position of this semiring in Table 1 order, as enumerated by
+    /// [`SemiringId::all`].
+    pub fn index(self) -> usize {
+        usize::from(self.0)
+    }
+
     /// The canonical (paper) name.
     pub fn name(self) -> &'static str {
         self.entry().name

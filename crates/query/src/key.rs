@@ -1,16 +1,15 @@
-//! Renaming-invariant canonical codes for queries.
+//! Exact canonical codes for queries up to isomorphism.
 //!
 //! Every containment criterion in the paper is invariant under *isomorphism*
 //! of queries — bijective renaming of existential variables (free variables
 //! are positional).  A semantic cache for containment decisions therefore
-//! wants a key that is identical for isomorphic queries: this module
-//! computes one as a canonical serialization ([`cq_code`] / [`ucq_code`])
-//! plus a 64-bit fingerprint ([`cq_key`] / [`ucq_key`]).
+//! wants a key that is identical exactly for isomorphic queries: this module
+//! computes one as a canonical serialization ([`cq_code`] / [`ucq_code`]).
 //!
 //! The construction is the classic colour-refinement + canonical-labelling
 //! scheme:
 //!
-//! 1. variables are coloured by their occurrence structure (relation name,
+//! 1. variables are coloured by their occurrence structure (relation,
 //!    argument position), free variables pinned by their output positions;
 //! 2. colours are refined Weisfeiler–Leman-style until the partition
 //!    stabilises;
@@ -18,28 +17,27 @@
 //!    serialized atom list, searching only orderings consistent with the
 //!    colour classes.
 //!
-//! The search in step 3 is capped ([`LABELING_CAP`]): queries whose colour
-//! classes are too large and symmetric fall back to a coarser — but still
-//! renaming-invariant — code built from the colour multiset alone.  The
-//! code is thus always *sound* for caching (isomorphic queries always get
-//! equal codes) but not complete (rare non-isomorphic pairs may collide);
-//! exact cache layers recover completeness by re-checking candidates with
-//! `annot_hom::are_isomorphic_ucq` inside a bucket.
+//! The serialization spells the whole query, so two queries get equal codes
+//! if and only if they are isomorphic.  The search in step 3 is capped
+//! ([`LABELING_CAP`]): a query whose colour classes are too large and
+//! symmetric gets no code at all (`None`), never an approximate one.
 //!
-//! Codes hash relation *names* (not [`crate::RelId`]s), so they are stable
-//! across schemas that spell the same relations.
+//! A relation is its name and arity, across schemas: the code opens with a
+//! name-sorted table of the relations the query uses, spelled byte for
+//! byte, and atoms refer to its rows by index.  Relations the schema holds
+//! but the query does not use leave no trace.
 
-use crate::{Cq, Ucq};
+use crate::{Atom, Cq, Ucq};
 
-/// Maximum number of colour-consistent labelings examined before falling
-/// back to the coarse invariant code.
+/// Maximum number of colour-consistent labelings examined; a query that
+/// admits more gets no code.
 pub const LABELING_CAP: u64 = 5040;
 
 const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
 const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
 
-/// FNV-1a over a word slice — the fingerprint used throughout this module.
-pub fn hash64(words: &[u64]) -> u64 {
+/// FNV-1a over a word slice: the colour hash of the refinement.
+fn hash64(words: &[u64]) -> u64 {
     let mut h = FNV_OFFSET;
     for &w in words {
         for byte in w.to_le_bytes() {
@@ -50,88 +48,99 @@ pub fn hash64(words: &[u64]) -> u64 {
     h
 }
 
-fn hash_str(s: &str) -> u64 {
-    let mut h = FNV_OFFSET;
-    for byte in s.as_bytes() {
-        h ^= u64::from(*byte);
-        h = h.wrapping_mul(FNV_PRIME);
-    }
-    h
-}
-
-/// The canonical code of a CQ: a serialization equal for isomorphic CQs.
+/// The canonical code of a CQ, or `None` when its colour classes admit
+/// more than [`LABELING_CAP`] labelings.  Two CQs that both have codes get
+/// equal codes exactly when they are isomorphic.
 ///
-/// Layout: `[num_vars, num_free, free tuple…, num_atoms, atoms…]` with each
-/// atom as `[relation-name hash, arity, canonical arg indices…]`, atoms
-/// sorted; or the coarse fallback layout (tagged differently) when the
-/// labelling search exceeds [`LABELING_CAP`].
-pub fn cq_code(q: &Cq) -> Vec<u64> {
-    let colors = refine_colors(q);
+/// Layout: `[num_rels, relations…, num_vars, num_free, free tuple…,
+/// num_atoms, atoms…]`, each relation as `[name length, name bytes packed
+/// 8 per word…, arity]` in name order, each atom as `[relation index,
+/// canonical arg numbers…]`, atoms sorted.
+pub fn cq_code(q: &Cq) -> Option<Vec<u64>> {
+    let (mut code, atom_rels) = relation_table(q);
+    let colors = refine_colors(q, &atom_rels);
     let classes = color_classes(&colors);
-
     let mut labelings: u64 = 1;
     for class in &classes {
         labelings = labelings.saturating_mul(factorial(class.len() as u64));
         if labelings > LABELING_CAP {
-            return coarse_code(q, &colors);
+            return None;
         }
     }
 
     let mut best: Option<Vec<u64>> = None;
     let mut order: Vec<usize> = Vec::with_capacity(colors.len());
+    let mut label = vec![0u64; colors.len()];
     enumerate_labelings(&classes, 0, &mut order, &mut |order| {
         // order[k] = variable index with canonical number k.
-        let mut label = vec![0u64; colors.len()];
         for (canon, &var) in order.iter().enumerate() {
             label[var] = canon as u64;
         }
-        let code = serialize(q, &label);
+        let body = serialize(q, &atom_rels, &label);
         match &best {
-            Some(b) if *b <= code => {}
-            _ => best = Some(code),
+            Some(b) if *b <= body => {}
+            _ => best = Some(body),
         }
     });
     // invariant: the class partition covers every variable, so at least one
     // labeling is always enumerated
-    best.expect("at least one labeling")
+    code.extend(best.expect("at least one labeling"));
+    Some(code)
 }
 
-/// The canonical code of a UCQ: member codes, sorted, length-prefixed.
-/// Equal for UCQs whose disjunct multisets match up to isomorphism.
-pub fn ucq_code(q: &Ucq) -> Vec<u64> {
-    let mut members: Vec<Vec<u64>> = q.disjuncts().iter().map(cq_code).collect();
+/// The canonical code of a UCQ: member codes, sorted, length-prefixed; or
+/// `None` when some member has no code.  Equal exactly for UCQs whose
+/// disjunct multisets match up to isomorphism.
+pub fn ucq_code(q: &Ucq) -> Option<Vec<u64>> {
+    let mut members: Vec<Vec<u64>> = q.disjuncts().iter().map(cq_code).collect::<Option<_>>()?;
     members.sort();
     let mut out = vec![q.len() as u64];
     for member in members {
         out.push(member.len() as u64);
         out.extend(member);
     }
-    out
-}
-
-/// 64-bit fingerprint of [`cq_code`].
-pub fn cq_key(q: &Cq) -> u64 {
-    hash64(&cq_code(q))
-}
-
-/// 64-bit fingerprint of [`ucq_code`].
-pub fn ucq_key(q: &Ucq) -> u64 {
-    hash64(&ucq_code(q))
+    Some(out)
 }
 
 fn factorial(n: u64) -> u64 {
     (2..=n).fold(1u64, |acc, k| acc.saturating_mul(k))
 }
 
-fn rel_hash(q: &Cq, rel: crate::RelId) -> u64 {
-    hash64(&[hash_str(q.schema().name(rel)), q.schema().arity(rel) as u64])
+/// The code's relation table — `[num_rels, (name length, name words…,
+/// arity)…]` over the relations `q` uses, sorted by name and arity — and
+/// each atom's row in it.
+fn relation_table(q: &Cq) -> (Vec<u64>, Vec<u64>) {
+    let spell = |atom: &Atom| (q.schema().name(atom.relation), atom.args.len());
+    let mut rels: Vec<(&str, usize)> = q.atoms().iter().map(spell).collect();
+    rels.sort_unstable();
+    rels.dedup();
+    let mut table = vec![rels.len() as u64];
+    for &(name, arity) in &rels {
+        table.push(name.len() as u64);
+        table.extend(name.as_bytes().chunks(8).map(|chunk| {
+            let mut word = [0u8; 8];
+            word[..chunk.len()].copy_from_slice(chunk);
+            u64::from_le_bytes(word)
+        }));
+        table.push(arity as u64);
+    }
+    let atom_rels = q
+        .atoms()
+        .iter()
+        .map(|atom| {
+            // invariant: `rels` lists the relation of every atom
+            rels.binary_search(&spell(atom)).expect("listed") as u64
+        })
+        .collect();
+    (table, atom_rels)
 }
 
 /// Colour refinement: returns a stable colour per variable index.  Free
 /// variables are pinned by their positions in the output tuple; existential
 /// variables start from their occurrence structure; both are refined by the
 /// colours of co-occurring variables until the partition stabilises.
-fn refine_colors(q: &Cq) -> Vec<u64> {
+/// `atom_rels[i]` is the relation-table row of atom `i`.
+fn refine_colors(q: &Cq, atom_rels: &[u64]) -> Vec<u64> {
     let n = q.num_vars();
     let mut colors = vec![0u64; n];
     for (i, color) in colors.iter_mut().enumerate() {
@@ -145,10 +154,10 @@ fn refine_colors(q: &Cq) -> Vec<u64> {
             .collect();
         free_positions.sort_unstable();
         let mut occurrences: Vec<u64> = Vec::new();
-        for atom in q.atoms() {
+        for (atom, &rel) in q.atoms().iter().zip(atom_rels) {
             for (pos, &arg) in atom.args.iter().enumerate() {
                 if arg == v {
-                    occurrences.push(hash64(&[rel_hash(q, atom.relation), pos as u64]));
+                    occurrences.push(hash64(&[rel, pos as u64]));
                 }
             }
         }
@@ -165,8 +174,9 @@ fn refine_colors(q: &Cq) -> Vec<u64> {
         let atom_colors: Vec<u64> = q
             .atoms()
             .iter()
-            .map(|atom| {
-                let mut words = vec![rel_hash(q, atom.relation)];
+            .zip(atom_rels)
+            .map(|(atom, &rel)| {
+                let mut words = vec![rel];
                 words.extend(atom.args.iter().map(|a| colors[a.0 as usize]));
                 hash64(&words)
             })
@@ -251,55 +261,23 @@ fn permute(items: &mut [usize], k: usize, f: &mut impl FnMut(&[usize])) {
     }
 }
 
-/// Serializes the query under a fixed variable relabelling.
-fn serialize(q: &Cq, label: &[u64]) -> Vec<u64> {
+/// Serializes the query's variable structure under a fixed relabelling.
+fn serialize(q: &Cq, atom_rels: &[u64], label: &[u64]) -> Vec<u64> {
     let mut atoms: Vec<Vec<u64>> = q
         .atoms()
         .iter()
-        .map(|atom| {
-            let mut words = vec![rel_hash(q, atom.relation), atom.args.len() as u64];
+        .zip(atom_rels)
+        .map(|(atom, &rel)| {
+            let mut words = vec![rel];
             words.extend(atom.args.iter().map(|a| label[a.0 as usize]));
             words
         })
         .collect();
     atoms.sort();
-    let mut out = vec![
-        2, // exact-code tag
-        q.num_vars() as u64,
-        q.free_vars().len() as u64,
-    ];
+    let mut out = vec![q.num_vars() as u64, q.free_vars().len() as u64];
     out.extend(q.free_vars().iter().map(|f| label[f.0 as usize]));
     out.push(q.num_atoms() as u64);
-    for atom in atoms {
-        out.extend(atom);
-    }
-    out
-}
-
-/// The coarse fallback code: colour multiset + coloured atom multiset.
-/// Renaming-invariant but not injective up to isomorphism.
-fn coarse_code(q: &Cq, colors: &[u64]) -> Vec<u64> {
-    let mut var_colors = colors.to_vec();
-    var_colors.sort_unstable();
-    let mut atom_colors: Vec<u64> = q
-        .atoms()
-        .iter()
-        .map(|atom| {
-            let mut words = vec![rel_hash(q, atom.relation)];
-            words.extend(atom.args.iter().map(|a| colors[a.0 as usize]));
-            hash64(&words)
-        })
-        .collect();
-    atom_colors.sort_unstable();
-    let mut out = vec![
-        3, // coarse-code tag
-        q.num_vars() as u64,
-        q.free_vars().len() as u64,
-    ];
-    out.extend(q.free_vars().iter().map(|f| colors[f.0 as usize]));
-    out.push(q.num_atoms() as u64);
-    out.extend(var_colors);
-    out.extend(atom_colors);
+    out.extend(atoms.into_iter().flatten());
     out
 }
 
@@ -322,8 +300,8 @@ mod tests {
             .atom("S", &["q"])
             .atom("R", &["p", "q"])
             .build();
+        assert!(cq_code(&a).is_some());
         assert_eq!(cq_code(&a), cq_code(&b));
-        assert_eq!(cq_key(&a), cq_key(&b));
     }
 
     #[test]
@@ -361,6 +339,7 @@ mod tests {
             .free(&["a"])
             .atom("R", &["a", "b"])
             .build();
+        assert!(cq_code(&first).is_some());
         assert_eq!(cq_code(&first), cq_code(&renamed));
     }
 
@@ -376,6 +355,7 @@ mod tests {
             .atom("R", &["q", "p"])
             .atom("R", &["p", "q"])
             .build();
+        assert!(cq_code(&a).is_some());
         assert_eq!(cq_code(&a), cq_code(&b));
     }
 
@@ -386,8 +366,8 @@ mod tests {
         let m2 = Cq::builder(&s).atom("S", &["x"]).build();
         let u1 = Ucq::new(vec![m1.clone(), m2.clone()]);
         let u2 = Ucq::new(vec![m2, m1]);
+        assert!(ucq_code(&u1).is_some());
         assert_eq!(ucq_code(&u1), ucq_code(&u2));
-        assert_eq!(ucq_key(&u1), ucq_key(&u2));
     }
 
     #[test]
@@ -404,6 +384,46 @@ mod tests {
             .atom("R", &["x", "y"])
             .atom("S", &["y"])
             .build();
+        assert!(cq_code(&a).is_some());
         assert_eq!(cq_code(&a), cq_code(&b));
+    }
+
+    #[test]
+    fn relation_names_and_arities_are_spelled_exactly() {
+        let s = Schema::with_relations([("R", 2), ("S", 2)]);
+        let r = Cq::builder(&s).atom("R", &["x", "y"]).build();
+        let t = Cq::builder(&s).atom("S", &["x", "y"]).build();
+        assert!(cq_code(&r).is_some() && cq_code(&t).is_some());
+        assert_ne!(cq_code(&r), cq_code(&t));
+
+        let ternary = Schema::with_relations([("R", 3)]);
+        let r3 = Cq::builder(&ternary).atom("R", &["x", "y", "z"]).build();
+        assert!(cq_code(&r3).is_some());
+        assert_ne!(cq_code(&r), cq_code(&r3));
+
+        // Names that share a prefix or pad to the same words stay apart.
+        let long = Schema::with_relations([("Relation", 1), ("Relation\0", 1)]);
+        let eight = Cq::builder(&long).atom("Relation", &["x"]).build();
+        let nine = Cq::builder(&long).atom("Relation\0", &["x"]).build();
+        assert_ne!(cq_code(&eight), cq_code(&nine));
+    }
+
+    #[test]
+    fn too_symmetric_queries_get_no_code() {
+        // Eight interchangeable variables: 8! = 40 320 labelings.
+        let s = Schema::with_relations([("R", 1)]);
+        let mut builder = Cq::builder(&s);
+        for i in 1..=8 {
+            builder = builder.atom("R", &[format!("x{i}").as_str()]);
+        }
+        let q = builder.build();
+        assert_eq!(cq_code(&q), None);
+        assert_eq!(ucq_code(&Ucq::single(q)), None);
+        // Seven give 7! = 5 040, exactly the cap: still coded.
+        let mut builder = Cq::builder(&s);
+        for i in 1..=7 {
+            builder = builder.atom("R", &[format!("x{i}").as_str()]);
+        }
+        assert!(cq_code(&builder.build()).is_some());
     }
 }

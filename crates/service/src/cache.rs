@@ -3,23 +3,19 @@
 //! Containment decisions are keyed by the *canonical form of the query
 //! pair up to isomorphism*: a request for `Q₁ ⊑ Q₂` over semiring `K`
 //! hits the cache whenever an α-renamed / atom-reordered variant of the
-//! same pair was decided before.  The lookup is two-stage:
-//!
-//! 1. a 64-bit fingerprint built from the renaming-invariant canonical
-//!    codes of both queries ([`annot_query::key`]) plus the semiring
-//!    selects a bucket — isomorphic pairs always agree on it;
-//! 2. within the bucket, a candidate entry counts as a hit only if both
-//!    sides are actually isomorphic ([`annot_hom::are_isomorphic_ucq`]) —
-//!    this refinement makes the cache *exact* even when the capped
-//!    canonical-labelling search fell back to a coarse code or two
-//!    non-isomorphic pairs collide in 64 bits.
+//! same pair was decided before.  The key is the semiring's index followed
+//! by the exact canonical codes of both queries ([`annot_query::key`]),
+//! which are equal exactly when the queries are isomorphic — so equal keys
+//! *are* the same question, and a lookup is one map probe.  A query too
+//! symmetric for the capped labelling search has no code: its pair is
+//! decided on every request and never cached.
 //!
 //! The map is sharded: each shard is its own mutex-guarded table, picked
-//! by key, so concurrent decisions on different pairs rarely contend.
-//! Decisions are computed *outside* the shard lock — a duplicated compute
-//! when two clients race on the same fresh pair is benign (both arrive at
-//! the same [`Decision`]), a decider running under a shard lock would
-//! serialise the server.
+//! by a hash of the key, so concurrent decisions on different pairs rarely
+//! contend.  Decisions are computed *outside* the shard lock — a
+//! duplicated compute when two clients race on the same fresh pair is
+//! benign (both arrive at the same [`Decision`]), a decider running under
+//! a shard lock would serialise the server.
 //!
 //! ## Bounds and eviction
 //!
@@ -34,20 +30,21 @@
 //!   after every insert the cache evicts (round-robin across shards,
 //!   one lock at a time) until the tracked total is at or under
 //!   `byte_budget`.  An entry that alone exceeds the budget is never
-//!   cached at all.  The estimate counts what an entry really owns —
-//!   each stored query's atoms, variable names and schema copy — so the
-//!   budget bounds real memory (within 2×, pinned by a counting-allocator
-//!   test).
+//!   cached at all.  An entry owns its table and ring slots and the two
+//!   copies of its key, so the estimate is those fixed slot sizes plus
+//!   the key words; the budget bounds real memory (within 2×, pinned by a
+//!   counting-allocator test).
 //!
 //! Entries never expire: whether `Q₁ ⊑_K Q₂` holds is fixed by the two
 //! queries and the semiring, so a cached [`Decision`] cannot go stale and
 //! only memory pressure is a reason to drop one.
 //!
 //! The eviction policy is the classic second-chance ring: every shard
-//! keeps its entries in an insertion-ordered ring; a hit sets the entry's
+//! keeps its keys in an insertion-ordered ring; a hit sets the entry's
 //! `referenced` bit; the evictor pops the ring front, grants one more
 //! round to referenced entries (clearing the bit, pushing them to the
-//! back), and evicts the first unreferenced entry it meets.  O(1)
+//! back), and evicts the first unreferenced entry it meets.  Entries leave
+//! the table only there, so ring and table hold the same keys.  O(1)
 //! amortised, no per-hit reordering, and — because all state is under the
 //! shard mutex — deterministic for a fixed operation order.
 
@@ -55,11 +52,12 @@ use annot_core::decide::Decision;
 use annot_core::registry::SemiringId;
 use annot_core::sync::atomic::{AtomicU64, Ordering};
 use annot_core::sync::{Mutex, PoisonError};
-use annot_hom::are_isomorphic_ucq;
-use annot_query::key::{hash64, ucq_code};
-use annot_query::{RelId, Schema, Ucq};
+use annot_query::key::ucq_code;
+use annot_query::Ucq;
+use std::collections::hash_map::{DefaultHasher, Entry as Slot};
 use std::collections::{HashMap, VecDeque};
-use std::mem::{size_of, size_of_val};
+use std::hash::{BuildHasher, BuildHasherDefault};
+use std::mem::size_of;
 
 /// Number of independently locked shards.  A small power of two well above
 /// the worker count keeps contention negligible without wasting memory.
@@ -79,44 +77,26 @@ pub struct CacheConfig {
     pub byte_budget: Option<u64>,
 }
 
-/// One cached decision: the pair it answers (held for the isomorphism
-/// refinement), the decision, and the eviction bookkeeping.
+/// The key of one request: the semiring's index, the length-prefixed
+/// canonical code of the left query, then the canonical code of the right
+/// one.  Equal exactly for isomorphic requests over the same semiring.
+type Key = Box<[u64]>;
+
+/// One cached decision and its eviction bookkeeping.
 struct Entry {
-    semiring: SemiringId,
-    q1: Ucq,
-    q2: Ucq,
     decision: Decision,
-    /// Shard-unique id linking this entry to its ring slot.
-    id: u64,
-    /// Precomputed footprint estimate (see [`entry_footprint`]).
-    bytes: u64,
     /// Second-chance bit: set on every hit, cleared (once) by the
     /// eviction scan before the entry becomes a victim.
     referenced: bool,
 }
 
-/// One shard: the fingerprint-keyed table plus the second-chance ring.
-/// All fields are guarded by the shard mutex.
+/// One shard: the key-indexed table plus the second-chance ring.  All
+/// fields are guarded by the shard mutex.
 struct Shard {
-    table: HashMap<u64, Vec<Entry>>,
-    /// Insertion-ordered `(fingerprint, entry id)` ring for the CLOCK
-    /// scan.  Slots whose entry was already removed are skipped lazily.
-    ring: VecDeque<(u64, u64)>,
-    /// Source of shard-unique entry ids.
-    next_id: u64,
-    /// Live entries in this shard (ring slots may be stale; this is not).
-    entries: u64,
-}
-
-impl Shard {
-    fn new() -> Shard {
-        Shard {
-            table: HashMap::new(),
-            ring: VecDeque::new(),
-            next_id: 0,
-            entries: 0,
-        }
-    }
+    table: HashMap<Key, Entry>,
+    /// Insertion-ordered ring of the table's keys for the CLOCK scan:
+    /// every key in `table` appears here exactly once.
+    ring: VecDeque<Key>,
 }
 
 /// Counter snapshot returned by [`Cache::stats`].
@@ -124,7 +104,7 @@ impl Shard {
 pub struct CacheStats {
     /// Requests answered from the cache.
     pub hits: u64,
-    /// Requests that missed and ran a decider.
+    /// Requests that missed and ran a decider, uncacheable pairs included.
     pub misses: u64,
     /// Decider executions: one per miss, so always `== misses`.  A miss
     /// whose insert loses a race to the same pair still decided; the lost
@@ -133,7 +113,8 @@ pub struct CacheStats {
     /// Entries ever inserted (`entries + evictions` at quiescence; racing
     /// same-pair inserts lose and do not count).  An entry refused for
     /// being larger than the whole byte budget counts as an insert that
-    /// the budget evicts at once, so the identity survives refusals.
+    /// the budget evicts at once, so the identity survives refusals.  A
+    /// pair with no canonical code is never inserted.
     pub inserts: u64,
     /// Entries currently stored.
     pub entries: u64,
@@ -142,12 +123,12 @@ pub struct CacheStats {
     /// Entries evicted (or refused at insert) by the global byte budget.
     pub evicted_bytes: u64,
     /// Entries per shard, indexed by shard number — the load-balance view
-    /// of the fingerprint distribution.  Sums to [`CacheStats::entries`].
+    /// of the key hash.  Sums to [`CacheStats::entries`].
     pub shard_entries: Vec<u64>,
-    /// Approximate bytes held by the cached entries: the entry structs and
-    /// the heap each stored query owns, its schema copy included.  Not an
-    /// allocator audit, but the byte-budget enforcement input, and
-    /// `tests/heap_accounting.rs` pins it within 2× of the live heap.
+    /// Approximate bytes held by the cached entries: their table and ring
+    /// slots and both copies of each key.  Not an allocator audit, but the
+    /// byte-budget enforcement input, and `tests/heap_accounting.rs` pins
+    /// it within 2× of the live heap.
     pub approx_bytes: u64,
 }
 
@@ -169,7 +150,7 @@ pub struct Cache {
     entries: AtomicU64,
     evicted_capacity: AtomicU64,
     evicted_bytes: AtomicU64,
-    /// Tracked total of every live entry's `bytes` — the byte-budget
+    /// Tracked total of every live entry's footprint — the byte-budget
     /// enforcement input and the `STATS.approx_bytes` source.
     bytes: AtomicU64,
 }
@@ -182,9 +163,15 @@ impl Cache {
 
     /// An empty cache under the given limits.
     pub fn with_config(config: CacheConfig) -> Cache {
+        let shard = || {
+            Mutex::new(Shard {
+                table: HashMap::new(),
+                ring: VecDeque::new(),
+            })
+        };
         Cache {
             config,
-            shards: (0..NUM_SHARDS).map(|_| Mutex::new(Shard::new())).collect(),
+            shards: (0..NUM_SHARDS).map(|_| shard()).collect(),
             hits: AtomicU64::new(0),
             misses: AtomicU64::new(0),
             decides: AtomicU64::new(0),
@@ -201,18 +188,23 @@ impl Cache {
         &self.config
     }
 
-    /// The canonical fingerprint of a request: semiring + canonical codes
-    /// of the (ordered) query pair.  Isomorphic requests agree on it.
-    fn fingerprint(semiring: SemiringId, q1: &Ucq, q2: &Ucq) -> u64 {
-        let c1 = ucq_code(q1);
-        let c2 = ucq_code(q2);
-        let name: Vec<u64> = semiring.name().bytes().map(u64::from).collect();
-        let mut words = Vec::with_capacity(c1.len() + c2.len() + 2);
-        words.push(hash64(&name));
-        words.push(c1.len() as u64);
-        words.extend(c1);
-        words.extend(c2);
-        hash64(&words)
+    /// The key of a request, or `None` when either query is too symmetric
+    /// to have a canonical code.
+    fn key(semiring: SemiringId, q1: &Ucq, q2: &Ucq) -> Option<Key> {
+        let c1 = ucq_code(q1)?;
+        let c2 = ucq_code(q2)?;
+        let mut key = Vec::with_capacity(c1.len() + c2.len() + 2);
+        key.push(semiring.index() as u64);
+        key.push(c1.len() as u64);
+        key.extend(c1);
+        key.extend(c2);
+        Some(key.into_boxed_slice())
+    }
+
+    /// The shard a key lives in: a fixed hash, so placement (and with it
+    /// eviction) is the same in every run.
+    fn shard_of(key: &[u64]) -> usize {
+        (BuildHasherDefault::<DefaultHasher>::default().hash_one(key) as usize) % NUM_SHARDS
     }
 
     /// Returns the cached decision for an isomorphic variant of
@@ -225,15 +217,15 @@ impl Cache {
         q2: &Ucq,
         decide: impl FnOnce(&Ucq, &Ucq) -> Decision,
     ) -> (Decision, bool) {
-        let key = Self::fingerprint(semiring, q1, q2);
-        let shard_index = (key as usize) % NUM_SHARDS;
-        let shard = &self.shards[shard_index];
-        {
-            let mut guard = self.lock(shard);
-            if let Some(found) = Self::lookup(&mut guard, key, semiring, q1, q2) {
+        let key = Self::key(semiring, q1, q2);
+        if let Some(key) = &key {
+            let mut guard = self.lock(&self.shards[Self::shard_of(key)]);
+            if let Some(entry) = guard.table.get_mut(key) {
+                // A hit earns the entry a second chance from the evictor.
+                entry.referenced = true;
                 // relaxed: monotonic statistics counter, no ordering needed
                 self.hits.fetch_add(1, Ordering::Relaxed);
-                return (found, true);
+                return (entry.decision.clone(), true);
             }
         }
         // relaxed: monotonic statistics counter, no ordering needed
@@ -242,7 +234,11 @@ impl Cache {
         let decision = decide(q1, q2);
         // relaxed: monotonic statistics counter, no ordering needed
         self.decides.fetch_add(1, Ordering::Relaxed);
-        let entry_bytes = entry_footprint(q1, q2);
+        let Some(key) = key else {
+            // No canonical code: the pair is decided every time it comes.
+            return (decision, false);
+        };
+        let entry_bytes = entry_footprint(key.len());
         if self.config.byte_budget.is_some_and(|b| entry_bytes > b) {
             // A single entry larger than the whole budget can never be
             // held without busting it — refuse to cache, and count it as
@@ -252,32 +248,23 @@ impl Cache {
             self.evicted_bytes.fetch_add(1, Ordering::Relaxed);
             return (decision, false);
         }
+        let shard_index = Self::shard_of(&key);
         {
-            let mut guard = self.lock(shard);
-            if Self::lookup(&mut guard, key, semiring, q1, q2).is_none() {
-                let id = guard.next_id;
-                guard.next_id += 1;
-                // A bucket rarely holds more than one entry: allocate
-                // exactly one slot, not `Vec`'s default first four.
-                let bucket = guard.table.entry(key);
-                bucket.or_insert_with(|| Vec::with_capacity(1)).push(Entry {
-                    semiring,
-                    q1: q1.clone(),
-                    q2: q2.clone(),
+            let mut guard = self.lock(&self.shards[shard_index]);
+            let shard = &mut *guard;
+            if let Slot::Vacant(slot) = shard.table.entry(key) {
+                shard.ring.push_back(slot.key().clone());
+                slot.insert(Entry {
                     decision: decision.clone(),
-                    id,
-                    bytes: entry_bytes,
                     referenced: false,
                 });
-                guard.ring.push_back((key, id));
-                guard.entries += 1;
                 // relaxed: monotonic statistics counters, no ordering needed
                 self.inserts.fetch_add(1, Ordering::Relaxed);
                 self.entries.fetch_add(1, Ordering::Relaxed);
                 self.bytes.fetch_add(entry_bytes, Ordering::Relaxed);
                 if let Some(cap) = self.config.shard_capacity {
-                    while guard.entries as usize > cap {
-                        if !self.evict_one(&mut guard, &self.evicted_capacity) {
+                    while shard.table.len() > cap {
+                        if !self.evict_one(shard, &self.evicted_capacity) {
                             break;
                         }
                     }
@@ -293,35 +280,22 @@ impl Cache {
     /// `counter` (the reason the scan ran) and returns `false` when the
     /// shard is empty.  Caller holds the shard lock.
     fn evict_one(&self, shard: &mut Shard, counter: &AtomicU64) -> bool {
-        // Each live entry is popped at most twice (once to clear its
-        // referenced bit, once to evict), and stale slots are consumed,
-        // so the scan terminates; the explicit bound documents it.
-        let mut budget = 2 * shard.ring.len() + 1;
-        while budget > 0 {
-            budget -= 1;
-            let Some((key, id)) = shard.ring.pop_front() else {
-                return false;
-            };
-            let Some(bucket) = shard.table.get_mut(&key) else {
-                continue; // stale slot: the whole bucket is gone
-            };
-            let Some(pos) = bucket.iter().position(|e| e.id == id) else {
-                continue; // stale slot: this entry is gone
-            };
-            if bucket[pos].referenced {
-                bucket[pos].referenced = false;
-                shard.ring.push_back((key, id));
+        // Each entry is popped at most twice (once to clear its referenced
+        // bit, once to evict), so the scan ends within two rounds.
+        while let Some(key) = shard.ring.pop_front() {
+            // invariant: ring and table hold the same keys (module docs)
+            let entry = shard.table.get_mut(&key).expect("ring key in table");
+            if entry.referenced {
+                entry.referenced = false;
+                shard.ring.push_back(key);
                 continue;
             }
-            let entry = bucket.swap_remove(pos);
-            if bucket.is_empty() {
-                shard.table.remove(&key);
-            }
-            shard.entries -= 1;
+            shard.table.remove(&key);
             // relaxed: monotonic statistics counters, no ordering needed
             counter.fetch_add(1, Ordering::Relaxed);
             self.entries.fetch_sub(1, Ordering::Relaxed);
-            self.bytes.fetch_sub(entry.bytes, Ordering::Relaxed);
+            self.bytes
+                .fetch_sub(entry_footprint(key.len()), Ordering::Relaxed);
             return true;
         }
         false
@@ -355,28 +329,6 @@ impl Cache {
         }
     }
 
-    fn lookup(
-        shard: &mut Shard,
-        key: u64,
-        semiring: SemiringId,
-        q1: &Ucq,
-        q2: &Ucq,
-    ) -> Option<Decision> {
-        shard.table.get_mut(&key).and_then(|bucket| {
-            bucket
-                .iter_mut()
-                .find(|e| {
-                    e.semiring == semiring
-                        && are_isomorphic_ucq(&e.q1, q1)
-                        && are_isomorphic_ucq(&e.q2, q2)
-                })
-                .map(|e| {
-                    e.referenced = true; // second chance for the evictor
-                    e.decision.clone()
-                })
-        })
-    }
-
     fn lock<'a>(&self, shard: &'a Mutex<Shard>) -> annot_core::sync::MutexGuard<'a, Shard> {
         shard.lock().unwrap_or_else(PoisonError::into_inner)
     }
@@ -388,7 +340,7 @@ impl Cache {
     pub fn stats(&self) -> CacheStats {
         let mut shard_entries = Vec::with_capacity(NUM_SHARDS);
         for shard in &self.shards {
-            shard_entries.push(self.lock(shard).entries);
+            shard_entries.push(self.lock(shard).table.len() as u64);
         }
         CacheStats {
             // relaxed: statistics snapshot, approximate by design
@@ -412,42 +364,12 @@ impl Cache {
     }
 }
 
-/// The tracked footprint of one entry: the entry struct, its table and
-/// ring slots, and the heap both stored queries own.  This estimate *is*
-/// the byte-budget enforcement input.
-fn entry_footprint(q1: &Ucq, q2: &Ucq) -> u64 {
-    let slots = size_of::<Entry>() + size_of::<(u64, Vec<Entry>)>() + size_of::<(u64, u64)>();
-    (slots + approx_ucq_bytes(q1) + approx_ucq_bytes(q2)) as u64
-}
-
-/// The heap one stored query owns, counted from its structure: the
-/// disjunct list and, per disjunct, its free variables, atoms, variable
-/// names and its own copy of the request's schema.  Allocator slack and
-/// the value domain the copies share are out of scope.
-fn approx_ucq_bytes(u: &Ucq) -> usize {
-    let mut bytes = size_of_val(u.disjuncts());
-    for cq in u.disjuncts() {
-        bytes += size_of_val(cq.free_vars()) + size_of_val(cq.atoms());
-        bytes += cq
-            .atoms()
-            .iter()
-            .map(|a| size_of_val(&a.args[..]))
-            .sum::<usize>();
-        bytes += size_of_val(cq.var_names());
-        bytes += cq.var_names().iter().map(String::len).sum::<usize>();
-        bytes += approx_schema_bytes(cq.schema());
-    }
-    bytes
-}
-
-/// The heap of a schema's relation table: the `(name, arity)` list and the
-/// name index, each holding its own copy of every name.  The index is
-/// counted at two slots (plus a control byte each) per relation, a hash
-/// table's typical headroom.
-fn approx_schema_bytes(schema: &Schema) -> usize {
-    let slot = size_of::<(String, usize)>() + 2 * (size_of::<(String, RelId)>() + 1);
-    let names: usize = schema.rel_ids().map(|rel| schema.name(rel).len()).sum();
-    schema.len() * slot + 2 * names
+/// The tracked footprint of an entry whose key holds `key_words` words:
+/// its table slot (key handle and entry), its ring slot, and the words of
+/// both key copies.  This estimate *is* the byte-budget enforcement input.
+fn entry_footprint(key_words: usize) -> u64 {
+    let slots = size_of::<(Key, Entry)>() + size_of::<Key>();
+    (slots + 2 * size_of::<u64>() * key_words) as u64
 }
 
 impl Default for Cache {
@@ -511,7 +433,7 @@ mod tests {
     #[test]
     fn schemas_registering_relations_in_opposite_orders_share_entries() {
         // Relation ids differ between the two schemas; names and arities
-        // do not, and those are what both the key and the judge compare.
+        // do not, and those are what the key spells.
         let cache = Cache::new();
         let why = SemiringId::from_name("Why").unwrap();
         let mut rs = Schema::with_relations([("R", 2), ("S", 2)]);
@@ -591,7 +513,7 @@ mod tests {
         let pairs = distinct_pairs(12);
         let n = SemiringId::from_name("N").unwrap();
         // A budget that fits roughly two entries.
-        let one = entry_footprint(&pairs[0].0, &pairs[0].1);
+        let one = entry_footprint(Cache::key(n, &pairs[0].0, &pairs[0].1).unwrap().len());
         let budget = one * 2 + one / 2;
         let cache = Cache::with_config(CacheConfig {
             byte_budget: Some(budget),
@@ -662,7 +584,7 @@ mod tests {
     #[test]
     fn recently_hit_entries_survive_capacity_eviction() {
         // Pin the second-chance policy exactly: find three pairs that
-        // land in the SAME shard (by probing the fingerprints, so no
+        // land in the SAME shard (by probing the key hashes, so no
         // hashing luck is involved), fill the shard, hit one entry, then
         // overflow — the unreferenced entry must be the victim.
         let n = SemiringId::from_name("N").unwrap();
@@ -674,7 +596,7 @@ mod tests {
         let mut by_shard: HashMap<usize, Vec<usize>> = HashMap::new();
         let mut colliding: Option<Vec<usize>> = None;
         for (i, (q1, q2)) in pairs.iter().enumerate() {
-            let shard = (Cache::fingerprint(n, q1, q2) as usize) % NUM_SHARDS;
+            let shard = Cache::shard_of(&Cache::key(n, q1, q2).unwrap());
             let bucket = by_shard.entry(shard).or_default();
             bucket.push(i);
             if bucket.len() == 3 {
@@ -698,6 +620,30 @@ mod tests {
         let stats = cache.stats();
         assert!(stats.evicted_capacity >= 1, "{stats:?}");
         assert_eq!(stats.inserts, stats.entries + stats.evictions());
+    }
+
+    #[test]
+    fn pairs_too_symmetric_to_code_are_decided_every_time_and_never_cached() {
+        // Eight interchangeable variables exceed the labelling cap, so the
+        // pair has no key: both requests decide, neither is stored.
+        let mut s = Schema::new();
+        let q1 = parser::parse_ucq(
+            &mut s,
+            "Q() :- R(x1), R(x2), R(x3), R(x4), R(x5), R(x6), R(x7), R(x8)",
+        )
+        .unwrap();
+        let q2 = parser::parse_ucq(&mut s, "Q() :- R(y)").unwrap();
+        assert!(annot_query::key::ucq_code(&q1).is_none());
+        let n = SemiringId::from_name("N").unwrap();
+        let cache = Cache::new();
+        let (first, hit1) = cache.get_or_decide(n, &q1, &q2, decide_with(n));
+        let (second, hit2) = cache.get_or_decide(n, &q1, &q2, decide_with(n));
+        assert!(!hit1 && !hit2);
+        assert_eq!(first, second);
+        let stats = cache.stats();
+        assert_eq!((stats.hits, stats.misses, stats.decides), (0, 2, 2));
+        assert_eq!((stats.inserts, stats.entries), (0, 0));
+        assert_eq!(stats.approx_bytes, 0);
     }
 
     #[test]

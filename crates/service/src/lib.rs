@@ -5,9 +5,8 @@
 //! Query Containment"* (Kostylev, Reutter, Salamon; PODS 2012).
 //!
 //! * [`proto`] — the line protocol (`DECIDE <semiring> <q1> ⊑ <q2>`, …);
-//! * [`cache`] — the sharded semantic cache, keyed by the canonical form
-//!   of the query pair *up to isomorphism* and made exact by an
-//!   isomorphism refinement inside each bucket;
+//! * [`cache`] — the sharded semantic cache, keyed by the exact canonical
+//!   code of the query pair *up to isomorphism*;
 //! * [`server`] — request handling (each `DECIDE` parses against a schema
 //!   of its own) and the thread-per-core accept loop over a `TcpListener`,
 //!   with admission control (decide budgets, connection cap, read
